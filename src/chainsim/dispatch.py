@@ -27,13 +27,22 @@ class PolicyKind(enum.Enum):
     MIN_LATENCY_ESTIMATE = "min_latency_estimate"
 
 
+# The policies that read ``DispatchContext.backlog``; the others get an empty
+# mapping, so the engine need not compute any backlog for them.
+BACKLOG_POLICIES = frozenset(
+    {PolicyKind.LEAST_LOADED, PolicyKind.STATE_LOCAL, PolicyKind.MIN_LATENCY_ESTIMATE}
+)
+
+
 @dataclass
 class DispatchContext:
     """Dispatcher-local knowledge at one decision instant.
 
-    ``backlog`` maps candidate workers to pending operations (queued plus
-    in-service remaining); the registry is read-only here, the rng stream is
-    policy-private.
+    ``backlog`` maps candidate workers to pending operations: the exact,
+    correctly rounded total of the worker's queued ops plus the remaining ops
+    of each busy core. Policies outside ``BACKLOG_POLICIES`` (``random`` and
+    ``round_robin``) receive an empty mapping. The registry is read-only here;
+    the rng stream is policy-private.
     """
 
     app_id: str

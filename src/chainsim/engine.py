@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import state as state_mod
 from . import workload as wl
 from .config import AppWorkflow, Scenario
-from .dispatch import DispatchContext, PolicyKind, RrState, choose_worker
+from .dispatch import BACKLOG_POLICIES, DispatchContext, PolicyKind, RrState, choose_worker
 from .state import StateMode, StateRegistry, apply_state_access, remote_state_access
 from .topology import NodeSpec
 from .workflow import vertex_input_bytes
@@ -104,16 +104,44 @@ class MetricsLog:
     horizon: float
 
 
-class WorkerRuntime:
-    """Per-core busy-until times plus a FIFO queue of pending stages."""
+# Every finite float is an integer multiple of 2**-1074, the least subnormal,
+# so queued ops summed in these units are exact in any order.
+_ULP_SCALE = 1 << 1074
 
-    __slots__ = ("node", "busy_until", "queue", "busy_seconds")
+
+def _exact_units(x: float) -> int:
+    num, den = x.as_integer_ratio()  # den is a power of two, at most 2**1074
+    return num << (1075 - den.bit_length())
+
+
+class WorkerRuntime:
+    """Per-core busy-until times plus a FIFO queue of pending stages.
+
+    The queue changes only through ``enqueue`` and ``dequeue``, which keep
+    the exact total of its ops: ``queued_ops`` is that total correctly
+    rounded, and exactly 0.0 when the queue is empty.
+    """
+
+    __slots__ = ("node", "busy_until", "queue", "busy_seconds", "queued_units", "queued_ops")
 
     def __init__(self, node: NodeSpec):
         self.node = node
         self.busy_until = [0.0] * node.cores
         self.queue: deque[tuple[int, str, float, float, float]] = deque()  # inv, fid, input, ops, t_enq
         self.busy_seconds = 0.0
+        self.queued_units = 0
+        self.queued_ops = 0.0
+
+    def enqueue(self, item: tuple[int, str, float, float, float]) -> None:
+        self.queue.append(item)
+        self.queued_units += _exact_units(item[3])
+        self.queued_ops = self.queued_units / _ULP_SCALE
+
+    def dequeue(self) -> tuple[int, str, float, float, float]:
+        item = self.queue.popleft()
+        self.queued_units -= _exact_units(item[3])
+        self.queued_ops = self.queued_units / _ULP_SCALE
+        return item
 
     def free_core(self, now: float) -> int | None:
         for i, until in enumerate(self.busy_until):
@@ -122,9 +150,8 @@ class WorkerRuntime:
         return None
 
     def backlog_ops(self, now: float) -> float:
-        pending = 0.0
-        for _inv, _fid, _input_bytes, ops, _t in self.queue:
-            pending += ops
+        """Queued ops plus the remaining ops of every busy core, in core order."""
+        pending = self.queued_ops
         speed = self.node.core_speed
         for until in self.busy_until:
             if until > now:
@@ -145,6 +172,7 @@ class _Run:
         self.routes = scenario.routes
         self.mode = scenario.state_mode
         self.policy = scenario.policy
+        self.reads_backlog = scenario.policy in BACKLOG_POLICIES
         self.worker_specs = {n.id: n for n in scenario.topology.workers()}
         self.workers = {wid: WorkerRuntime(spec) for wid, spec in sorted(self.worker_specs.items())}
         self.registry = StateRegistry()
@@ -246,10 +274,16 @@ class _Run:
         input_bytes = vertex_input_bytes(preds, inv.outputs, inv.payload)
 
         now = ev.time
+        candidates = self.sc.candidates
+        if self.reads_backlog:
+            workers = self.workers
+            backlog = {w: workers[w].backlog_ops(now) for w in candidates}
+        else:
+            backlog = {}
         ctx = DispatchContext(
             app_id=inv.app,
-            candidate_workers=self.sc.candidates,
-            backlog={w: self.workers[w].backlog_ops(now) for w in self.sc.candidates},
+            candidate_workers=candidates,
+            backlog=backlog,
             registry=self.registry,
             routes=self.routes,
             payload_location=at_node,
@@ -330,7 +364,7 @@ class _Run:
         wr = self.workers[w]
         core = wr.free_core(ev.time)
         if core is None:
-            wr.queue.append((inv_id, fid, input_bytes, ops, ev.time))
+            wr.enqueue((inv_id, fid, input_bytes, ops, ev.time))
             return
         self._start_on_core(wr, core, inv_id, fid, w, input_bytes, ops, ev.time, ev.time)
 
@@ -381,7 +415,7 @@ class _Run:
         if wr.queue:
             core = wr.free_core(ev.time)
             if core is not None:
-                q_inv, q_fid, q_input, q_ops, q_t = wr.queue.popleft()
+                q_inv, q_fid, q_input, q_ops, q_t = wr.dequeue()
                 self._start_on_core(wr, core, q_inv, q_fid, w, q_input, q_ops, q_t, ev.time)
 
     def _on_delivered(self, ev: Event) -> None:

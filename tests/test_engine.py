@@ -1,11 +1,15 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainsim import engine, metrics
 from chainsim.config import scenario_from_raw
 from chainsim.state import StateMode, StateRegistry
+from chainsim.topology import NodeSpec
 from chainsim.workflow import critical_path_time
 
 from helpers import chain_scenario_raw, random_chain_scenario_raw
@@ -216,6 +220,8 @@ class TestRandomizedZeroLoad:
 class TestComputeRandomization:
     def test_factors_scale_fixed_ops_only(self):
         raw = chain_scenario_raw(n_workers=1, chain_len=1)
+        for fn in raw["workflows"][0]["functions"][::2]:
+            fn["state_size"] = 0.0  # stateless stages: state_local falls back to least_loaded
         raw["workload"]["compute_randomization"] = True
         log = run_one(raw, explicit={"app": [0.0]})
         inv = log.invocations[0]
@@ -234,6 +240,8 @@ class TestComputeRandomization:
         raw["topology"]["links"][0] = {
             "endpoint_a": 0, "endpoint_b": 1, "propagation": 0.0, "rate": 1e15,
         }
+        for fn in raw["workflows"][0]["functions"][::2]:
+            fn["state_size"] = 0.0  # stateless stages: state_local falls back to least_loaded
         raw["workload"]["compute_randomization"] = True
         log = run_one(raw)
         lat = [i.latency for i in log.invocations if i.latency is not None]
@@ -242,20 +250,71 @@ class TestComputeRandomization:
         assert mean == pytest.approx(2.0, rel=0.10)
 
 
+def rescan_backlog(wr, now):
+    """Reference backlog: the queue summed from scratch, then the busy cores."""
+    pending = math.fsum(item[3] for item in wr.queue)
+    speed = wr.node.core_speed
+    for until in wr.busy_until:
+        if until > now:
+            pending += (until - now) * speed
+    return pending
+
+
+QUEUED_OPS = st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False)
+
+
 class TestWorkerRuntime:
     def test_backlog_counts_queued_and_in_service_ops(self):
-        from chainsim.engine import WorkerRuntime
-        from chainsim.topology import NodeSpec
-
-        wr = WorkerRuntime(NodeSpec(1, "worker", cores=2, core_speed=1e6))
+        wr = engine.WorkerRuntime(NodeSpec(1, "worker", cores=2, core_speed=1e6))
         assert wr.backlog_ops(0.0) == 0.0
         wr.busy_until = [2.0, 0.5]  # remaining at t=0: 2e6 + 5e5 ops
-        wr.queue.append((0, "f", 0.0, 3000.0, 0.0))
-        wr.queue.append((1, "f", 0.0, 500.0, 0.0))
+        wr.enqueue((0, "f", 0.0, 3000.0, 0.0))
+        wr.enqueue((1, "f", 0.0, 500.0, 0.0))
         assert wr.backlog_ops(0.0) == pytest.approx(2e6 + 5e5 + 3500.0, abs=1e-6)
         # in-service remainder shrinks with time, queued ops do not
         assert wr.backlog_ops(1.0) == pytest.approx(1e6 + 3500.0, abs=1e-6)
         assert wr.backlog_ops(5.0) == pytest.approx(3500.0, abs=1e-6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        busy_until=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=4),
+        core_speed=st.sampled_from([1e5, 1e6, 5e6, 3.3e6]),
+        steps=st.lists(st.one_of(QUEUED_OPS, st.none()), max_size=40),
+        nows=st.lists(st.floats(min_value=0.0, max_value=12.0), min_size=1, max_size=3),
+    )
+    # a float running sum of these leaves a residue once the queue empties
+    @example(busy_until=[0.0], core_speed=1e6, steps=[0.1, 0.2, 0.3, None, None, None], nows=[0.0])
+    def test_running_total_equals_fsum_rescan(self, busy_until, core_speed, steps, nows):
+        wr = engine.WorkerRuntime(NodeSpec(1, "worker", cores=len(busy_until), core_speed=core_speed))
+        wr.busy_until = busy_until
+        for i, ops in enumerate(steps):
+            if ops is None:
+                if wr.queue:
+                    wr.dequeue()
+            else:
+                wr.enqueue((i, "f", 0.0, ops, 0.0))
+            for now in nows:
+                assert wr.backlog_ops(now).hex() == rescan_backlog(wr, now).hex()
+        while wr.queue:
+            wr.dequeue()
+        for now in nows:
+            idle_at = [min(until, now) for until in busy_until]
+            wr.busy_until = idle_at
+            assert wr.backlog_ops(now).hex() == (0.0).hex()
+
+    @pytest.mark.parametrize("policy", ["least_loaded", "state_local", "min_latency_estimate"])
+    def test_engine_matches_rescanning_backlog(self, policy, monkeypatch):
+        # rho ~1.3 on three single-core workers: queues grow through the run
+        raw = chain_scenario_raw(n_workers=3, chain_len=3, policy=policy, state_mode="remote_migrate",
+                                 rate=550.0, horizon=1.5, state_size=2000.0)
+        for fn in raw["workflows"][0]["functions"][::2]:
+            fn["state_size"] = 0.0  # stateless stages: state_local falls back to least_loaded
+        raw["workload"]["compute_randomization"] = True
+        raw["workload"]["payload"] = {"kind": "exponential", "mean": 1000.0}
+        fast = run_one(raw)
+        assert max(s.queue_wait_s for inv in fast.invocations for s in inv.stages.values()) > 0.1
+        monkeypatch.setattr(engine.WorkerRuntime, "backlog_ops", rescan_backlog)
+        assert run_one(raw) == fast
 
 
 class TestEngineErrors:
