@@ -362,7 +362,9 @@ class _Run:
     def _on_exec_start(self, ev: Event) -> None:
         inv_id, fid, w, input_bytes, ops = ev.data
         wr = self.workers[w]
-        core = wr.free_core(ev.time)
+        # A core freed at this instant belongs to the queue's head (its
+        # EXEC_DONE may not have been popped yet), so join the queue if any.
+        core = None if wr.queue else wr.free_core(ev.time)
         if core is None:
             wr.enqueue((inv_id, fid, input_bytes, ops, ev.time))
             return

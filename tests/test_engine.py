@@ -144,6 +144,18 @@ class TestQueueing:
         busy_until = enq_a + ra.compute_s
         assert rb.queue_wait_s == pytest.approx(busy_until - enq_b, abs=1e-12)
 
+    def test_fifo_holds_when_exec_start_ties_exec_done(self):
+        # inv 2's EXEC_START at t=2.5 was scheduled before inv 0's EXEC_DONE at
+        # t=2.5, so it is popped first; it must still queue behind inv 1.
+        raw = chain_scenario_raw(n_workers=1, chain_len=1)
+        raw["topology"]["nodes"][1]["core_speed"] = 1.0
+        # 1.5 s each way: the payload's serialization time is below half an ulp of 1.5
+        raw["topology"]["links"][0].update(propagation=1.5, rate=1e30)
+        raw["workflows"][0]["functions"][0].update(fixed_ops=1.0, ops_per_byte=0.0)
+        log = run_one(raw, explicit={"app": [0.0, 0.5, 1.0]})
+        assert [inv.stages["f0"].queue_wait_s for inv in log.invocations] == [0.0, 0.5, 1.0]
+        assert [inv.completion for inv in log.invocations] == [4.0, 5.0, 6.0]
+
     def test_multicore_runs_in_parallel(self):
         raw = chain_scenario_raw(n_workers=1, chain_len=1)
         raw["topology"]["nodes"][1]["cores"] = 2
