@@ -21,7 +21,7 @@ from . import workload as wl
 from .config import AppWorkflow, Scenario
 from .dispatch import BACKLOG_POLICIES, DispatchContext, PolicyKind, RrState, choose_worker
 from .state import StateMode, StateRegistry, apply_state_access, remote_state_access
-from .topology import NodeSpec
+from .topology import NodeSpec, Route
 from .workflow import vertex_input_bytes
 
 ARRIVAL = 0
@@ -237,25 +237,22 @@ class _Run:
 
     # -- transfers ---------------------------------------------------------
 
-    def _transfer(self, src: int, dst: int, nbytes: float, rec: StageRecord) -> float:
-        """Delay of one stage transfer, with per-link byte accounting."""
+    def _charge_links(self, src: int, dst: int, nbytes: float, rec: StageRecord) -> Route:
+        """Charge ``nbytes`` to every link from ``src`` to ``dst`` and to the stage."""
         route = self.routes.route(src, dst)
-        if route.hop_count:
-            for u, v in zip(route.path, route.path[1:]):
-                key = (u, v) if u <= v else (v, u)
-                self.link_bytes[key] += nbytes
-                rec.link_bytes += nbytes
-        delay = route.delay(nbytes)
-        if not math.isfinite(delay):
-            raise EngineError(f"non-finite transfer delay {src}->{dst} for {nbytes} bytes")
-        return delay
-
-    def _account_state_transfer(self, src: int, dst: int, nbytes: float, rec: StageRecord) -> None:
-        route = self.routes.route(src, dst)
-        for u, v in zip(route.path, route.path[1:]):
+        path = route.path
+        for u, v in zip(path, path[1:]):
             key = (u, v) if u <= v else (v, u)
             self.link_bytes[key] += nbytes
             rec.link_bytes += nbytes
+        return route
+
+    def _transfer(self, src: int, dst: int, nbytes: float, rec: StageRecord) -> float:
+        """Delay of one stage transfer, with per-link byte accounting."""
+        delay = self._charge_links(src, dst, nbytes, rec).delay(nbytes)
+        if not math.isfinite(delay):
+            raise EngineError(f"non-finite transfer delay {src}->{dst} for {nbytes} bytes")
+        return delay
 
     # -- handlers ------------------------------------------------------------
 
@@ -305,9 +302,9 @@ class _Run:
             else:
                 access = remote_state_access(self.mode, self.registry, inv.app, f, w, self.routes)
                 if access.bytes_moved:
-                    self._account_state_transfer(entry.host, w, f.state_size, rec)
+                    self._charge_links(entry.host, w, f.state_size, rec)
                     if self.mode is StateMode.REMOTE_FIXED:
-                        self._account_state_transfer(w, entry.host, f.state_size, rec)
+                        self._charge_links(w, entry.host, f.state_size, rec)
                 if access.migration:
                     apply_state_access(self.registry, access, inv.app, fid)
                     self.migrations += 1
