@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ from chainsim.config import load_json, scenario_from_raw, sweep_from_raw
 
 from helpers import chain_scenario_raw
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+CONFIGS = REPO / "configs"
 
 VALID = [
     "baseline_single_worker.json",
@@ -186,10 +188,18 @@ class TestDescribe:
 
 class TestConsoleScript:
     def test_installed_entry_point(self):
+        # The console script runs cli.entrypoint, as `python -m chainsim` does;
+        # this runs it without installing the package.
+        pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert 'chainsim = "chainsim.cli:entrypoint"' in scripts.splitlines()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            ["chainsim", "validate", str(CONFIGS / "baseline_single_worker.json")],
+            [sys.executable, "-m", "chainsim", "validate", str(CONFIGS / "baseline_single_worker.json")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "OK" in proc.stdout
