@@ -232,8 +232,6 @@ class TestRandomizedZeroLoad:
 class TestComputeRandomization:
     def test_factors_scale_fixed_ops_only(self):
         raw = chain_scenario_raw(n_workers=1, chain_len=1)
-        for fn in raw["workflows"][0]["functions"][::2]:
-            fn["state_size"] = 0.0  # stateless stages: state_local falls back to least_loaded
         raw["workload"]["compute_randomization"] = True
         log = run_one(raw, explicit={"app": [0.0]})
         inv = log.invocations[0]
@@ -252,8 +250,6 @@ class TestComputeRandomization:
         raw["topology"]["links"][0] = {
             "endpoint_a": 0, "endpoint_b": 1, "propagation": 0.0, "rate": 1e15,
         }
-        for fn in raw["workflows"][0]["functions"][::2]:
-            fn["state_size"] = 0.0  # stateless stages: state_local falls back to least_loaded
         raw["workload"]["compute_randomization"] = True
         log = run_one(raw)
         lat = [i.latency for i in log.invocations if i.latency is not None]
