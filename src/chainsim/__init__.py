@@ -9,7 +9,6 @@ from .state import (
     StateAccess,
     StateMode,
     StateRegistry,
-    apply_state_access,
     embedded_payload_overhead,
     remote_state_access,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "StateMode",
     "StateRegistry",
     "Topology",
-    "apply_state_access",
     "build_routes",
     "chain_to_dag",
     "choose_worker",

@@ -77,9 +77,9 @@ def estimate_completion(
 ) -> float:
     """Predicted completion time of this stage on worker ``w``.
 
-    Input transfer (with embedded state overhead) + remote state access from
-    the current registry snapshot (no migration applied; the estimate is a
-    prediction, not a commitment) + backlog drain + stage compute. In-flight
+    Input transfer (with embedded state overhead) + state access from the
+    current registry (no migration applied; the estimate is a prediction, not
+    a commitment) + backlog drain + stage compute. In-flight
     network transfers toward ``w`` are not visible to the dispatcher and are
     ignored.
     """
@@ -90,7 +90,7 @@ def estimate_completion(
         w,
         input_bytes + state_mod.embedded_payload_overhead(f, mode),
     )
-    est += state_mod.state_access_at_dispatch(mode, ctx.registry, ctx.app_id, f, w, ctx.routes).delay
+    est += state_mod.remote_state_access(mode, ctx.registry, ctx.app_id, f, w, ctx.routes).delay
     compute_ops, _ = stage_io(f, input_bytes)
     est += ctx.backlog.get(w, 0.0) / (spec.cores * spec.core_speed)
     est += compute_ops / spec.core_speed

@@ -20,7 +20,7 @@ from . import state as state_mod
 from . import workload as wl
 from .config import AppWorkflow, Scenario
 from .dispatch import BACKLOG_POLICIES, DispatchContext, PolicyKind, RrState, choose_worker
-from .state import StateMode, StateRegistry, apply_state_access, remote_state_access
+from .state import StateMode, StateRegistry, remote_state_access
 from .topology import NodeSpec, Route
 from .workflow import vertex_input_bytes
 
@@ -293,7 +293,7 @@ class _Run:
 
         # State is resolved at dispatch time: first touch seeds the host at
         # the chosen worker for free, later touches pay the mode's cost and
-        # any migration is applied immediately.
+        # a migration moves the host to the executor at once.
         access = state_mod.ZERO_ACCESS
         if self.mode.is_remote and f.state_size > 0:
             entry = self.registry.get(inv.app, fid)
@@ -306,7 +306,7 @@ class _Run:
                     if self.mode is StateMode.REMOTE_FIXED:
                         self._charge_links(w, entry.host, f.state_size, rec)
                 if access.migration:
-                    apply_state_access(self.registry, access, inv.app, fid)
+                    self.registry.move(inv.app, fid, w)
                     self.migrations += 1
         rec.state_delay_s = access.delay
         rec.state_bytes = access.bytes_moved

@@ -61,14 +61,10 @@ class StateRegistry:
             raise ValueError(f"state for {key} already placed")
         self._entries[key] = StateEntry(host=host, state_size=state_size)
 
-    def entry_count(self) -> int:
-        return len(self._entries)
-
-    def items(self) -> list[tuple[tuple[str, str], StateEntry]]:
-        return sorted(self._entries.items())
-
-    def snapshot(self) -> "StateRegistry":
-        return StateRegistry(dict(self._entries))
+    def move(self, app_id: str, function_id: str, host: int) -> None:
+        """Record a migration: the placed state now lives at ``host``."""
+        key = (app_id, function_id)
+        self._entries[key] = StateEntry(host=host, state_size=self._entries[key].state_size)
 
 
 @dataclass(frozen=True)
@@ -77,8 +73,7 @@ class StateAccess:
 
     delay: float  # seconds
     bytes_moved: float  # bytes over the network
-    migration: bool = False
-    new_host: int | None = None
+    migration: bool = False  # the state moves to the executor
 
 
 ZERO_ACCESS = StateAccess(delay=0.0, bytes_moved=0.0)
@@ -117,61 +112,24 @@ def remote_state_access(
     exec_node: int,
     rt: RouteTable,
 ) -> StateAccess:
-    """Cost of accessing remote state from ``exec_node``.
+    """Cost of making f's state available at ``exec_node``, as decided at dispatch.
 
-    remote_fixed pays fetch plus write-back against the fixed host;
-    remote_migrate pays a single transfer and relocates the host. Co-located
-    execution is free in both modes.
+    Free in embedded mode, for stateless functions, for state not yet placed
+    (the first dispatch places it at the executor) and for co-located
+    execution. Otherwise remote_fixed pays fetch plus write-back against the
+    host and remote_migrate pays a single transfer to the executor. Pure:
+    the caller records a migration with ``StateRegistry.move``.
     """
-    if not mode.is_remote:
-        raise ValueError(f"remote_state_access requires a remote mode, got {mode}")
-    size = f.state_size
-    if size == 0:
+    if not mode.is_remote or f.state_size == 0:
         return ZERO_ACCESS
     entry = reg.get(app_id, f.id)
-    if entry is None:
-        raise KeyError(f"no registry entry for ({app_id}, {f.id}) with state_size > 0")
-    if entry.host == exec_node:
+    if entry is None or entry.host == exec_node:
         return ZERO_ACCESS
+    size = f.state_size
     if mode is StateMode.REMOTE_FIXED:
         delay = transfer_delay(rt, entry.host, exec_node, size) + transfer_delay(
             rt, exec_node, entry.host, size
         )
         return StateAccess(delay=delay, bytes_moved=2 * size)
     delay = transfer_delay(rt, entry.host, exec_node, size)
-    return StateAccess(delay=delay, bytes_moved=size, migration=True, new_host=exec_node)
-
-
-def state_access_at_dispatch(
-    mode: StateMode,
-    reg: StateRegistry,
-    app_id: str,
-    f: "FunctionSpec",
-    exec_node: int,
-    rt: RouteTable,
-) -> StateAccess:
-    """Access cost as seen at dispatch time, without mutating the registry.
-
-    A missing entry costs nothing: state is born at the chosen worker on the
-    first dispatch. Embedded mode never touches the registry.
-    """
-    if not mode.is_remote or f.state_size == 0:
-        return ZERO_ACCESS
-    if reg.get(app_id, f.id) is None:
-        return ZERO_ACCESS
-    return remote_state_access(mode, reg, app_id, f, exec_node, rt)
-
-
-def apply_state_access(
-    reg: StateRegistry, access: StateAccess, app_id: str, function_id: str
-) -> StateRegistry:
-    """Record a migration in the registry; entry count is preserved."""
-    if access.migration:
-        if access.new_host is None:
-            raise ValueError("migration access carries no new_host")
-        key = (app_id, function_id)
-        entry = reg._entries.get(key)
-        if entry is None:
-            raise KeyError(f"no registry entry for {key}")
-        reg._entries[key] = StateEntry(host=access.new_host, state_size=entry.state_size)
-    return reg
+    return StateAccess(delay=delay, bytes_moved=size, migration=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 
-from chainsim.state import StateRegistry, state_access_at_dispatch
+from chainsim.state import StateRegistry, remote_state_access
 from chainsim.topology import LinkSpec, NodeSpec, Topology
 from chainsim.workflow import DagSpec
 
@@ -144,7 +144,7 @@ def enumerate_critical_path(
         input_bytes = vertex_input_bytes(preds[v], outputs, entry)
         compute_ops, out_bytes = stage_io(f, input_bytes)
         outputs[v] = out_bytes
-        access = state_access_at_dispatch(mode, reg, dag.app_id, f, assignment[v], routes)
+        access = remote_state_access(mode, reg, dag.app_id, f, assignment[v], routes)
         vertex_cost[v] = (access.delay, compute_ops / workers[assignment[v]].core_speed)
 
     source, sink = dag_source(dag), dag_sink(dag)

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from chainsim.state import (
     StateAccess,
+    StateEntry,
     StateMode,
     StateRegistry,
-    apply_state_access,
     embedded_payload_overhead,
     remote_state_access,
     stage_transfer_bytes,
-    state_access_at_dispatch,
 )
 from chainsim.topology import build_routes
 from chainsim.workflow import FunctionSpec
@@ -75,7 +74,8 @@ class TestRemoteStateAccess:
         access = remote_state_access(StateMode.REMOTE_MIGRATE, reg, "app", stateful(), 2, net)
         assert access.delay == pytest.approx(0.002, abs=1e-15)
         assert access.bytes_moved == 1000.0
-        assert access.migration and access.new_host == 2
+        assert access.migration
+        assert reg.get("app", "f").host == 1  # pure: the caller moves the host
 
     def test_fixed_bytes_double_migrate_bytes(self, net):
         reg = StateRegistry()
@@ -84,38 +84,28 @@ class TestRemoteStateAccess:
         migrate = remote_state_access(StateMode.REMOTE_MIGRATE, reg, "app", stateful(777.0), 2, net)
         assert fixed.bytes_moved == 2 * migrate.bytes_moved
 
-    def test_missing_entry_with_state_is_error(self, net):
-        with pytest.raises(KeyError):
-            remote_state_access(StateMode.REMOTE_FIXED, StateRegistry(), "app", stateful(), 1, net)
+    def test_missing_entry_is_cold_start(self, net):
+        # State not yet placed is placed at the executor by the first dispatch.
+        access = remote_state_access(StateMode.REMOTE_MIGRATE, StateRegistry(), "app", stateful(), 2, net)
+        assert access == StateAccess(0.0, 0.0)
 
     def test_stateless_has_no_cost(self, net):
         access = remote_state_access(StateMode.REMOTE_FIXED, StateRegistry(), "app", stateful(0.0), 1, net)
         assert access == StateAccess(0.0, 0.0)
 
-    def test_embedded_mode_rejected(self, net):
-        with pytest.raises(ValueError):
-            remote_state_access(StateMode.EMBEDDED, StateRegistry(), "app", stateful(), 1, net)
-
-    def test_dispatch_view_treats_missing_entry_as_cold(self, net):
-        access = state_access_at_dispatch(
-            StateMode.REMOTE_MIGRATE, StateRegistry(), "app", stateful(), 2, net
-        )
+    def test_embedded_mode_has_no_cost(self, net):
+        reg = StateRegistry()
+        reg.seed("app", "f", host=1, state_size=1000.0)
+        access = remote_state_access(StateMode.EMBEDDED, reg, "app", stateful(), 2, net)
         assert access == StateAccess(0.0, 0.0)
 
 
-class TestApplyStateAccess:
-    def test_no_migration_keeps_registry(self, net):
-        reg = StateRegistry()
-        reg.seed("app", "f", host=1, state_size=10.0)
-        before = reg.items()
-        apply_state_access(reg, StateAccess(0.0, 20.0), "app", "f")
-        assert reg.items() == before
-
+class TestRegistryMove:
     def test_migration_moves_only_that_entry(self):
         reg = StateRegistry()
         reg.seed("app", "f", host=1, state_size=10.0)
         reg.seed("app", "g", host=1, state_size=20.0)
-        apply_state_access(reg, StateAccess(0.0, 10.0, migration=True, new_host=2), "app", "f")
+        reg.move("app", "f", 2)
         assert reg.get("app", "f").host == 2
         assert reg.get("app", "g").host == 1
 
@@ -123,27 +113,31 @@ class TestApplyStateAccess:
         # replayed by hand: w1 -> w2 -> w3 leaves the host at w3
         reg = StateRegistry()
         reg.seed("app", "f", host=1, state_size=10.0)
-        apply_state_access(reg, StateAccess(0.0, 10.0, migration=True, new_host=2), "app", "f")
-        apply_state_access(reg, StateAccess(0.0, 10.0, migration=True, new_host=3), "app", "f")
+        reg.move("app", "f", 2)
+        reg.move("app", "f", 3)
         assert reg.get("app", "f").host == 3
         assert reg.get("app", "f").state_size == 10.0
 
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=30))
-    def test_entry_count_invariant(self, seed, n_accesses):
+    def test_moves_keep_every_entry_and_size(self, seed, n_moves):
         rng = random.Random(seed)
         reg = StateRegistry()
-        for fid in ("f", "g", "h"):
-            reg.seed("app", fid, host=rng.choice([1, 2, 3]), state_size=10.0)
-        count = reg.entry_count()
-        for _ in range(n_accesses):
+        hosts = {}
+        for size, fid in enumerate(("f", "g", "h"), start=1):
+            hosts[fid] = rng.choice([1, 2, 3])
+            reg.seed("app", fid, host=hosts[fid], state_size=10.0 * size)
+        for _ in range(n_moves):
             fid = rng.choice(["f", "g", "h"])
-            if rng.random() < 0.5:
-                access = StateAccess(0.0, 0.0)
-            else:
-                access = StateAccess(0.0, 10.0, migration=True, new_host=rng.choice([1, 2, 3]))
-            apply_state_access(reg, access, "app", fid)
-            assert reg.entry_count() == count
+            hosts[fid] = rng.choice([1, 2, 3])
+            reg.move("app", fid, hosts[fid])
+            for size, g in enumerate(("f", "g", "h"), start=1):
+                assert reg.get("app", g) == StateEntry(host=hosts[g], state_size=10.0 * size)
+        assert reg.get("app", "k") is None
+
+    def test_move_of_unplaced_state_is_error(self):
+        with pytest.raises(KeyError):
+            StateRegistry().move("app", "f", 2)
 
     def test_reseed_rejected(self):
         reg = StateRegistry()
