@@ -21,13 +21,15 @@ def main() -> int:
     parser.add_argument("--replications", type=int, default=5)
     args = parser.parse_args()
 
-    raw = load_json(REPO / "configs" / "sweep_rates.json")
-    sweep, errs = sweep_from_raw(raw, base_dir=REPO / "configs")
+    configs = REPO / "configs"
+    raw = load_json(configs / "sweep_rates.json")
+    raw["base"] = load_json(configs / raw["base"])
+    raw["base"]["replications"] = args.replications
+    sweep, errs = sweep_from_raw(raw)
     if sweep is None:
         for e in errs:
             print(f"error: {e}", file=sys.stderr)
         return 1
-    sweep.base["replications"] = args.replications
 
     results = run_sweep(sweep, args.out, emit_plotdata=True)
 

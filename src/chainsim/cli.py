@@ -9,13 +9,13 @@ variable overrides the config seed.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 from pathlib import Path
 
 from . import runner
-from .config import load_json, scenario_from_raw, sweep_from_raw
+from .config import MAX_SEED, SweepSpec, load_json, scenario_from_raw, sweep_from_raw
 from .engine import EngineError
 
 EXIT_OK = 0
@@ -23,96 +23,74 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
-def _apply_seed_env(raw: dict) -> list[str]:
-    value = os.environ.get("CHAINSIM_SEED")
-    if value is None:
-        return []
-    try:
-        raw["seed"] = int(value)
-    except ValueError:
-        return [f"CHAINSIM_SEED must be an integer, got {value!r}"]
-    return []
+def _load(path: str, build) -> tuple:
+    """Load a document, build it with ``build`` and apply ``CHAINSIM_SEED``.
 
-
-def _load_scenario(path: str):
-    """Returns (scenario, violations); violations non-empty means config error."""
+    Returns (scenario or sweep, []) or (None, violations).
+    """
     try:
         raw = load_json(path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return None, [f"cannot load {path}: {exc}"]
-    errs = _apply_seed_env(raw)
-    if errs:
-        return None, errs
-    return scenario_from_raw(raw)
+    built, errs = build(raw)
+    value = os.environ.get("CHAINSIM_SEED")
+    if built is None or value is None:
+        return built, errs
+    try:
+        seed = int(value)
+    except ValueError:
+        return None, [f"CHAINSIM_SEED must be an integer, got {value!r}"]
+    if not 0 <= seed <= MAX_SEED:
+        return None, ["seed must be an unsigned 64-bit integer"]
+    if isinstance(built, SweepSpec):
+        scenarios = [dataclasses.replace(sc, seed=seed) for sc in built.scenarios]
+        return dataclasses.replace(built, scenarios=scenarios), []
+    return dataclasses.replace(built, seed=seed), []
+
+
+def _config_error(errs: list[str]) -> int:
+    for e in errs:
+        print(f"error: {e}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
+def _write(run, spec, args: argparse.Namespace, what: str) -> int:
+    try:
+        results = run(spec, args.out, emit_plotdata=args.emit_plotdata)
+    except (OSError, EngineError) as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    print(f"wrote {len(results)} {what} to {args.out}")
+    return EXIT_OK
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    scenario, errs = _load_scenario(args.config)
+    scenario, errs = _load(args.config, scenario_from_raw)
     if scenario is None:
-        for e in errs:
-            print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(errs)
     print("OK")
     return EXIT_OK
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario, errs = _load_scenario(args.config)
+    scenario, errs = _load(args.config, scenario_from_raw)
     if scenario is None:
-        for e in errs:
-            print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        results = runner.run_experiment(scenario, args.out, emit_plotdata=args.emit_plotdata)
-    except (OSError, EngineError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    print(f"wrote {len(results)} replication(s) to {args.out}")
-    return EXIT_OK
+        return _config_error(errs)
+    return _write(runner.run_experiment, scenario, args, "replication(s)")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        raw = load_json(args.sweepfile)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load {args.sweepfile}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     base_dir = Path(args.sweepfile).resolve().parent
-    base = raw.get("base")
-    if isinstance(base, str):
-        path = Path(base)
-        if not path.is_absolute():
-            path = base_dir / path
-        try:
-            raw["base"] = load_json(path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: cannot load base config {base!r}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    if isinstance(raw.get("base"), dict):
-        errs = _apply_seed_env(raw["base"])
-        if errs:
-            print(f"error: {errs[0]}", file=sys.stderr)
-            return EXIT_CONFIG
-    sweep, errs = sweep_from_raw(raw, base_dir=base_dir)
+    sweep, errs = _load(args.sweepfile, lambda raw: sweep_from_raw(raw, base_dir=base_dir))
     if sweep is None:
-        for e in errs:
-            print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        results = runner.run_sweep(sweep, args.out, emit_plotdata=args.emit_plotdata)
-    except (OSError, EngineError, ValueError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    print(f"wrote {len(results)} point-replication(s) to {args.out}")
-    return EXIT_OK
+        return _config_error(errs)
+    return _write(runner.run_sweep, sweep, args, "point-replication(s)")
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    scenario, errs = _load_scenario(args.config)
+    scenario, errs = _load(args.config, scenario_from_raw)
     if scenario is None:
-        for e in errs:
-            print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(errs)
     topo = scenario.topology
     print(f"nodes: {len(topo.nodes)} ({len(topo.clients())} clients, {len(topo.workers())} workers)")
     print(f"links: {len(topo.links)}")

@@ -368,13 +368,13 @@ def scenario_from_raw(raw: dict) -> tuple[Scenario | None, list[str]]:
 
 @dataclass
 class SweepSpec:
-    base: dict
     field: str
     values: list[Any]
+    scenarios: list[Scenario]  # the built scenario of each value, in order
 
 
 def sweep_from_raw(raw: dict, base_dir: Path | None = None) -> tuple[SweepSpec | None, list[str]]:
-    """Parse and validate a sweep document (base config, field path, values)."""
+    """Parse and validate a sweep document and build the scenario of every point."""
     violations: list[str] = []
     base = raw.get("base")
     if isinstance(base, str):
@@ -383,7 +383,7 @@ def sweep_from_raw(raw: dict, base_dir: Path | None = None) -> tuple[SweepSpec |
             path = base_dir / path
         try:
             base = load_json(path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             return None, [f"cannot load base config {base!r}: {exc}"]
     if not isinstance(base, dict):
         return None, ["sweep.base must be a config object or a path to one"]
@@ -400,16 +400,17 @@ def sweep_from_raw(raw: dict, base_dir: Path | None = None) -> tuple[SweepSpec |
     if not isinstance(values, list) or not values:
         return None, ["sweep.values must be a non-empty list"]
 
+    scenarios = []
     for i, value in enumerate(values):
         try:
             point, errs = scenario_from_raw(apply_sweep_value(base, fieldname, value))
         except ValueError as exc:
             return None, [str(exc)]
-        if point is None:
-            violations.extend(f"sweep value [{i}]={value!r}: {e}" for e in errs)
+        violations.extend(f"sweep value [{i}]={value!r}: {e}" for e in errs)
+        scenarios.append(point)
     if violations:
         return None, violations
-    return SweepSpec(base=base, field=fieldname, values=values), []
+    return SweepSpec(field=fieldname, values=values, scenarios=scenarios), []
 
 
 def apply_sweep_value(base: dict, fieldname: str, value: Any) -> dict:

@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import Any
 
 from . import engine, metrics
-from .config import Scenario, SweepSpec, apply_sweep_value, scenario_from_raw
+from .config import Scenario, SweepSpec
+from .config import scenario_from_raw  # noqa: F401  bench/tracer.py wraps this name here
 
 
 @dataclass
@@ -28,13 +29,44 @@ class PointResult:
     log: engine.MetricsLog
 
 
-def run_replications(scenario: Scenario) -> list[tuple[int, engine.MetricsLog]]:
-    """All replications of one scenario point, keyed by seed."""
-    out = []
-    for r in range(scenario.replications):
-        seed = scenario.seed + r
-        out.append((seed, engine.run(scenario, seed=seed)))
-    return out
+def run_experiment(scenario: Scenario, out_dir: str | Path, emit_plotdata: bool = False) -> list[PointResult]:
+    """Run one config's replications and write rep_### dirs plus summary.json."""
+    return _run_points(None, [(None, scenario)], Path(out_dir), emit_plotdata)
+
+
+def run_sweep(sweep: SweepSpec, out_dir: str | Path, emit_plotdata: bool = False) -> list[PointResult]:
+    """Run every (point, replication) of a sweep; point_###/rep_### layout."""
+    points = list(zip(sweep.values, sweep.scenarios))
+    return _run_points(sweep.field, points, Path(out_dir), emit_plotdata)
+
+
+def _run_points(
+    swept_field: str | None, points: list[tuple[Any, Scenario]], out: Path, emit_plotdata: bool
+) -> list[PointResult]:
+    """Run and write every (point, replication); an unswept run has one point
+    and no point_### level."""
+    results = []
+    records = []
+    for p, (value, scenario) in enumerate(points):
+        point_dir = out if swept_field is None else out / f"point_{p:03d}"
+        for r in range(scenario.replications):
+            seed = scenario.seed + r
+            log = engine.run(scenario, seed=seed)
+            _write_run_dir(point_dir / f"rep_{r:03d}", log)
+            results.append(PointResult(p, swept_field, value, r, seed, log))
+            record = {
+                "point": p,
+                "swept_field": swept_field,
+                "swept_value": value,
+                "replication": r,
+                "seed": seed,
+            }
+            record.update(metrics.summary_record(log))
+            records.append(record)
+    (out / "summary.json").write_text(json.dumps({"records": records}, indent=2) + "\n", encoding="utf-8")
+    if emit_plotdata:
+        (out / "plotdata.csv").write_text(_plotdata_csv(records), encoding="utf-8")
+    return results
 
 
 def _write_run_dir(dirpath: Path, log: engine.MetricsLog) -> None:
@@ -44,77 +76,16 @@ def _write_run_dir(dirpath: Path, log: engine.MetricsLog) -> None:
     (dirpath / "workers.csv").write_text(metrics.workers_csv(log), encoding="utf-8")
 
 
-def _summary_json(results: list[PointResult]) -> str:
-    records = []
-    for res in results:
-        record = {
-            "point": res.point,
-            "swept_field": res.swept_field,
-            "swept_value": res.swept_value,
-            "replication": res.replication,
-            "seed": res.seed,
-        }
-        record.update(metrics.summary_record(res.log))
-        records.append(record)
-    return json.dumps({"records": records}, indent=2) + "\n"
-
-
-def _plotdata_csv(results: list[PointResult]) -> str:
+def _plotdata_csv(records: list[dict]) -> str:
     lines = ["point,swept_value,seed,mean_latency_s,p50_latency_s,p95_latency_s,p99_latency_s"]
-    for res in results:
-        rec = metrics.summary_record(res.log)
+    for rec in records:
+        value = rec["swept_value"]
         cells = [
-            str(res.point),
-            "" if res.swept_value is None else repr(res.swept_value)
-            if isinstance(res.swept_value, float)
-            else str(res.swept_value),
-            str(res.seed),
+            str(rec["point"]),
+            "" if value is None else repr(value) if isinstance(value, float) else str(value),
+            str(rec["seed"]),
         ]
         for key in ("mean_latency_s", "p50_latency_s", "p95_latency_s", "p99_latency_s"):
-            value = rec[key]
-            cells.append("" if value is None else repr(value))
+            cells.append("" if rec[key] is None else repr(rec[key]))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def run_experiment(scenario: Scenario, out_dir: str | Path, emit_plotdata: bool = False) -> list[PointResult]:
-    """Run one config's replications and write rep_### dirs plus summary.json."""
-    out = Path(out_dir)
-    results = []
-    for r, (seed, log) in enumerate(run_replications(scenario)):
-        _write_run_dir(out / f"rep_{r:03d}", log)
-        results.append(
-            PointResult(
-                point=0, swept_field=None, swept_value=None, replication=r, seed=seed, log=log
-            )
-        )
-    (out / "summary.json").write_text(_summary_json(results), encoding="utf-8")
-    if emit_plotdata:
-        (out / "plotdata.csv").write_text(_plotdata_csv(results), encoding="utf-8")
-    return results
-
-
-def run_sweep(sweep: SweepSpec, out_dir: str | Path, emit_plotdata: bool = False) -> list[PointResult]:
-    """Run every (point, replication) of a sweep; point_###/rep_### layout."""
-    out = Path(out_dir)
-    results = []
-    for p, value in enumerate(sweep.values):
-        scenario, errs = scenario_from_raw(apply_sweep_value(sweep.base, sweep.field, value))
-        if scenario is None:
-            raise ValueError(f"sweep point {p} invalid: " + "; ".join(errs))
-        for r, (seed, log) in enumerate(run_replications(scenario)):
-            _write_run_dir(out / f"point_{p:03d}" / f"rep_{r:03d}", log)
-            results.append(
-                PointResult(
-                    point=p,
-                    swept_field=sweep.field,
-                    swept_value=value,
-                    replication=r,
-                    seed=seed,
-                    log=log,
-                )
-            )
-    (out / "summary.json").write_text(_summary_json(results), encoding="utf-8")
-    if emit_plotdata:
-        (out / "plotdata.csv").write_text(_plotdata_csv(results), encoding="utf-8")
-    return results
