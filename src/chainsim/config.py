@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -92,9 +93,23 @@ def load_json(path: str | Path) -> dict:
 
 
 def _num(value: Any) -> float | None:
+    """``value`` as a float if it is a finite number (not a bool), else None."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _num_field(raw: dict, key: str, where: str, violations: list[str]) -> float:
+    """An optional numeric field, 0.0 when absent; anything but a finite number is a violation."""
+    x = _num(raw.get(key, 0.0))
+    if x is None:
+        violations.append(f"{where} {key} must be a finite number")
+        return 0.0
+    return x
 
 
 def _parse_topology(raw: Any, violations: list[str]) -> Topology | None:
@@ -106,12 +121,17 @@ def _parse_topology(raw: Any, violations: list[str]) -> Topology | None:
         if not isinstance(nd, dict) or not isinstance(nd.get("id"), int):
             violations.append(f"topology.nodes[{i}] needs an integer id")
             continue
+        where = f"topology.nodes[{i}]"
+        cores = nd.get("cores", 0)
+        if isinstance(cores, bool) or not isinstance(cores, int):
+            violations.append(f"{where} cores must be an integer")
+            cores = 0
         nodes.append(
             NodeSpec(
                 id=nd["id"],
                 role=str(nd.get("role", "")),
-                cores=int(nd.get("cores", 0)),
-                core_speed=float(nd.get("core_speed", 0.0)),
+                cores=cores,
+                core_speed=_num_field(nd, "core_speed", where, violations),
             )
         )
     links = []
@@ -125,8 +145,8 @@ def _parse_topology(raw: Any, violations: list[str]) -> Topology | None:
             LinkSpec(
                 endpoint_a=lk["endpoint_a"],
                 endpoint_b=lk["endpoint_b"],
-                propagation=float(lk.get("propagation", 0.0)),
-                rate=float(lk.get("rate", 0.0)),
+                propagation=_num_field(lk, "propagation", f"topology.links[{i}]", violations),
+                rate=_num_field(lk, "rate", f"topology.links[{i}]", violations),
             )
         )
     topo = Topology(tuple(nodes), tuple(links))
@@ -149,12 +169,13 @@ def _parse_workflow(raw: Any, topo: Topology | None, violations: list[str]) -> A
         if not isinstance(fd, dict) or not isinstance(fd.get("id"), str):
             violations.append(f"{tag}: each function needs a string id")
             continue
+        where = f"{tag}: function {fd['id']}"
         spec = wf.FunctionSpec(
             id=fd["id"],
-            fixed_ops=float(fd.get("fixed_ops", 0.0)),
-            ops_per_byte=float(fd.get("ops_per_byte", 0.0)),
-            output_ratio=float(fd.get("output_ratio", 0.0)),
-            state_size=float(fd.get("state_size", 0.0)),
+            fixed_ops=_num_field(fd, "fixed_ops", where, violations),
+            ops_per_byte=_num_field(fd, "ops_per_byte", where, violations),
+            output_ratio=_num_field(fd, "output_ratio", where, violations),
+            state_size=_num_field(fd, "state_size", where, violations),
         )
         if spec.id in functions:
             violations.append(f"{tag}: duplicate function id {spec.id}")
@@ -297,7 +318,7 @@ def scenario_from_raw(raw: dict) -> tuple[Scenario | None, list[str]]:
                     violations.append(f"workload.rates names unknown app {app_id}")
         h = _num(workload.get("horizon"))
         if h is None or h <= 0:
-            violations.append("workload.horizon must be > 0")
+            violations.append("workload.horizon must be a finite number > 0")
         else:
             horizon = h
         payload = _parse_payload(workload.get("payload"), violations)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -55,6 +56,33 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         assert main(["validate", str(bad)]) == 1
+
+
+BAD_NUMBERS = {
+    "cores string": (lambda raw: raw["topology"]["nodes"][1], "cores", "abc"),
+    "cores fraction": (lambda raw: raw["topology"]["nodes"][1], "cores", 1.5),
+    "cores bool": (lambda raw: raw["topology"]["nodes"][1], "cores", True),
+    "core_speed string": (lambda raw: raw["topology"]["nodes"][1], "core_speed", "fast"),
+    "link rate list": (lambda raw: raw["topology"]["links"][0], "rate", [1]),
+    "link propagation NaN": (lambda raw: raw["topology"]["links"][0], "propagation", math.nan),
+    "link rate huge int": (lambda raw: raw["topology"]["links"][0], "rate", 10**400),
+    "fixed_ops string": (lambda raw: raw["workflows"][0]["functions"][0], "fixed_ops", "1000"),
+    "state_size Infinity": (lambda raw: raw["workflows"][0]["functions"][0], "state_size", math.inf),
+    "entry_payload NaN": (lambda raw: raw["workflows"][0], "entry_payload", math.nan),
+    "horizon Infinity": (lambda raw: raw["workload"], "horizon", math.inf),
+    "arrival rate Infinity": (lambda raw: raw["workload"]["rates"], "app", math.inf),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_NUMBERS))
+def test_bad_number_is_a_config_error(case, tmp_path, capsys):
+    owner, key, value = BAD_NUMBERS[case]
+    raw = chain_scenario_raw()
+    owner(raw)[key] = value
+    assert main(["validate", str(write_config(tmp_path, raw))]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 class TestRun:
