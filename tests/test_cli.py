@@ -201,6 +201,58 @@ class TestSweep:
         assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
+    def test_each_point_builds_its_routes_once(self, tmp_path, monkeypatch):
+        import chainsim.config
+
+        built = []
+        build_routes = chainsim.config.build_routes
+
+        def counting(topo):
+            built.append(topo)
+            return build_routes(topo)
+
+        monkeypatch.setattr(chainsim.config, "build_routes", counting)
+        sweep = {"base": chain_scenario_raw(horizon=1.0), "field": "arrival_rate", "values": [2.0, 4.0, 6.0]}
+        path = write_config(tmp_path, sweep, "sweep.json")
+        assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == len(sweep["values"])
+
+    def test_seed_env_override(self, tmp_path, monkeypatch):
+        sweep = {
+            "base": chain_scenario_raw(horizon=1.0, replications=2),
+            "field": "arrival_rate",
+            "values": [2.0, 4.0],
+        }
+        path = write_config(tmp_path, sweep, "sweep.json")
+        monkeypatch.setenv("CHAINSIM_SEED", "4242")
+        assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [(r["point"], r["seed"]) for r in doc["records"]] == [
+            (0, 4242), (0, 4243), (1, 4242), (1, 4243),
+        ]
+
+    @pytest.mark.parametrize("value", ["not-a-number", "-1", str(2**64)])
+    def test_bad_seed_env_exit_one(self, value, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, {"base": chain_scenario_raw(), "field": "arrival_rate", "values": [2.0]})
+        monkeypatch.setenv("CHAINSIM_SEED", value)
+        assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_baseline_sweep_script(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "baseline_sweep.py"), "--replications", "1", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads((out / "summary.json").read_text())["records"]) == 3
+
+
 class TestDescribe:
     def test_prints_routes_and_workflows(self, capsys):
         assert main(["describe", str(CONFIGS / "diamond_dag.json")]) == 0
