@@ -27,7 +27,6 @@ from .workflow import (
     FunctionSpec,
     chain_to_dag,
     critical_path_time,
-    enabled_frontier,
     join_payload,
     stage_io,
     validate_dag,
@@ -59,7 +58,6 @@ __all__ = [
     "choose_worker",
     "critical_path_time",
     "embedded_payload_overhead",
-    "enabled_frontier",
     "estimate_completion",
     "gen_arrivals",
     "join_payload",

@@ -215,24 +215,6 @@ def topo_order(d: DagSpec) -> list[str]:
     return order
 
 
-def enabled_frontier(d: DagSpec, completed: set[str]) -> set[str]:
-    """Vertices whose predecessors are all completed and which may run next.
-
-    ``completed`` must be downward-closed under predecessors (a valid
-    partial execution); otherwise ValueError.
-    """
-    preds = predecessor_map(d)
-    for v in sorted(completed):
-        if v not in d.vertices:
-            raise ValueError(f"completed vertex {v} not in dag")
-        missing = [p for p in preds[v] if p not in completed]
-        if missing:
-            raise ValueError(
-                f"completed set is not downward-closed: {v} completed before predecessor {missing[0]}"
-            )
-    return {v for v in d.vertices if v not in completed and all(p in completed for p in preds[v])}
-
-
 def stage_io(f: FunctionSpec, input_bytes: float) -> tuple[float, float]:
     """(compute operations, output bytes) for one stage at the given input size."""
     if input_bytes < 0:

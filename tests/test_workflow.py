@@ -12,9 +12,7 @@ from chainsim.workflow import (
     FunctionSpec,
     chain_to_dag,
     critical_path_time,
-    enabled_frontier,
     join_payload,
-    predecessor_map,
     stage_io,
     topo_order,
     validate_dag,
@@ -71,44 +69,6 @@ class TestValidateDag:
     def test_bad_entry_payload(self):
         d = DagSpec("app", frozenset({"f1"}), frozenset(), 0.0)
         assert "entry_payload must be > 0" in validate_dag(d)
-
-
-class TestEnabledFrontier:
-    def test_empty_completed_yields_source(self):
-        assert enabled_frontier(diamond(), set()) == {"f1"}
-
-    def test_after_source_both_branches(self):
-        assert enabled_frontier(diamond(), {"f1"}) == {"f2", "f3"}
-
-    def test_partial_join_not_enabled(self):
-        # brute-force check of the predecessor condition over all vertices
-        d = diamond()
-        completed = {"f1", "f2"}
-        preds = predecessor_map(d)
-        expected = {
-            v for v in d.vertices if v not in completed and all(p in completed for p in preds[v])
-        }
-        assert expected == {"f3"}
-        assert enabled_frontier(d, completed) == expected
-
-    def test_rejects_non_downward_closed(self):
-        with pytest.raises(ValueError, match="not downward-closed"):
-            enabled_frontier(diamond(), {"f4"})
-
-    @settings(max_examples=60)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_iterative_completion_always_terminates(self, seed):
-        rng = random.Random(seed)
-        d = random_dag(rng, max_vertices=10)
-        completed: set[str] = set()
-        steps = 0
-        while len(completed) < len(d.vertices):
-            frontier = enabled_frontier(d, completed)
-            assert frontier, "deadlock on a valid DAG"
-            completed.add(rng.choice(sorted(frontier)))
-            steps += 1
-            assert steps <= len(d.vertices)
-        assert enabled_frontier(d, completed) == set()
 
 
 class TestStageIo:
