@@ -79,9 +79,8 @@ def estimate_completion(
 
     Input transfer (with embedded state overhead) + state access from the
     current registry (no migration applied; the estimate is a prediction, not
-    a commitment) + backlog drain + stage compute. In-flight
-    network transfers toward ``w`` are not visible to the dispatcher and are
-    ignored.
+    a commitment) + backlog drain + stage compute. In-flight network
+    transfers toward ``w`` are not visible to the dispatcher and are ignored.
     """
     spec = ctx.workers[w]
     est = transfer_delay(
