@@ -43,8 +43,7 @@ def run_sweep(sweep: SweepSpec, out_dir: str | Path, emit_plotdata: bool = False
 def _run_points(
     swept_field: str | None, points: list[tuple[Any, Scenario]], out: Path, emit_plotdata: bool
 ) -> list[PointResult]:
-    """Run and write every (point, replication); an unswept run has one point
-    and no point_### level."""
+    """Run and write every (point, replication); an unswept run has no point_### level."""
     results = []
     records = []
     for p, (value, scenario) in enumerate(points):

@@ -200,7 +200,6 @@ class TestSweep:
         path = write_config(tmp_path, sweep, "sweep.json")
         assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 1
 
-
     def test_each_point_builds_its_routes_once(self, tmp_path, monkeypatch):
         import chainsim.config
 
