@@ -112,7 +112,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         print(
             f"  {app_id}: {kind} with {len(app.dag.vertices)} function(s),"
             f" source={app.source} sink={app.sink}"
-            f" client={app.client} entry_payload={app.entry_payload!r}"
+            f" client={app.client} entry_payload={app.dag.entry_payload!r}"
         )
         for fid in sorted(app.functions):
             f = app.functions[fid]

@@ -53,7 +53,6 @@ class AppWorkflow:
     dag: wf.DagSpec
     functions: dict[str, wf.FunctionSpec]
     client: int
-    entry_payload: float
     source: str
     sink: str
     preds: dict[str, tuple[str, ...]]
@@ -241,7 +240,6 @@ def _parse_workflow(raw: Any, topo: Topology | None, violations: list[str]) -> A
         dag=dag,
         functions=functions,
         client=client,
-        entry_payload=entry_payload,
         source=wf.dag_source(dag),
         sink=wf.dag_sink(dag),
         preds=wf.predecessor_map(dag),

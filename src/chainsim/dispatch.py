@@ -84,10 +84,7 @@ def estimate_completion(
     """
     spec = ctx.workers[w]
     est = transfer_delay(
-        ctx.routes,
-        ctx.payload_location,
-        w,
-        input_bytes + state_mod.embedded_payload_overhead(f, mode),
+        ctx.routes, ctx.payload_location, w, state_mod.stage_transfer_bytes(input_bytes, None, f, mode)
     )
     est += state_mod.remote_state_access(mode, ctx.registry, ctx.app_id, f, w, ctx.routes).delay
     compute_ops, _ = stage_io(f, input_bytes)

@@ -22,7 +22,7 @@ from .config import AppWorkflow, Scenario
 from .dispatch import BACKLOG_POLICIES, DispatchContext, PolicyKind, RrState, choose_worker
 from .state import StateMode, StateRegistry, remote_state_access
 from .topology import NodeSpec, Route
-from .workflow import vertex_input_bytes
+from .workflow import stage_io, vertex_input_bytes
 
 ARRIVAL = 0
 STAGE_READY = 1
@@ -46,7 +46,6 @@ class EngineError(RuntimeError):
 class StageRecord:
     """Measurements for one executed stage of one invocation."""
 
-    function: str
     worker: int
     dispatch_time: float
     transfer_s: float = 0.0
@@ -68,7 +67,6 @@ class InvocationRecord:
     compute_factor: float
     stages: dict[str, StageRecord] = field(default_factory=dict)
     outputs: dict[str, float] = field(default_factory=dict)
-    output_worker: dict[str, int] = field(default_factory=dict)
     pending: dict[str, int] = field(default_factory=dict)
     completion: float | None = None
 
@@ -127,7 +125,7 @@ class WorkerRuntime:
     def __init__(self, node: NodeSpec):
         self.node = node
         self.busy_until = [0.0] * node.cores
-        self.queue: deque[tuple[int, str, float, float, float]] = deque()  # inv, fid, input, ops, t_enq
+        self.queue: deque[tuple[int, str, float, float, float]] = deque()  # inv, fid, output, ops, t_enq
         self.busy_seconds = 0.0
         self.queued_units = 0
         self.queued_ops = 0.0
@@ -210,7 +208,7 @@ class _Run:
             payloads = wl.draw_payloads(
                 self.sc.payload,
                 len(times),
-                app.entry_payload,
+                app.dag.entry_payload,
                 wl.substream(self.seed, wl.STREAM_PAYLOAD, app_idx),
             )
             factors = wl.draw_compute_factors(
@@ -247,11 +245,17 @@ class _Run:
             rec.link_bytes += nbytes
         return route
 
-    def _transfer(self, src: int, dst: int, nbytes: float, rec: StageRecord) -> float:
-        """Delay of one stage transfer, with per-link byte accounting."""
+    def _hop(self, src: int, dst: int, data_bytes: float, producer, consumer, rec: StageRecord) -> float:
+        """Delay of one stage transfer (entry, join input or delivery), charged to links and ``rec``.
+
+        Embedded state rides in the wire size; it is state traffic only when the hop crosses the network.
+        """
+        nbytes = state_mod.stage_transfer_bytes(data_bytes, producer, consumer, self.mode)
         delay = self._charge_links(src, dst, nbytes, rec).delay(nbytes)
         if not math.isfinite(delay):
             raise EngineError(f"non-finite transfer delay {src}->{dst} for {nbytes} bytes")
+        if src != dst:
+            rec.state_bytes += state_mod.stage_transfer_bytes(0.0, producer, consumer, self.mode)
         return delay
 
     # -- handlers ------------------------------------------------------------
@@ -288,7 +292,7 @@ class _Run:
             workers=self.worker_specs,
         )
         w = choose_worker(self.policy, ctx, self.rr, f, input_bytes, self.mode)
-        rec = StageRecord(function=fid, worker=w, dispatch_time=now)
+        rec = StageRecord(worker=w, dispatch_time=now)
         inv.stages[fid] = rec
 
         # State is resolved at dispatch time: first touch seeds the host at
@@ -313,59 +317,33 @@ class _Run:
         rec.migration = access.migration
 
         if not preds:
-            nbytes = state_mod.stage_transfer_bytes(inv.payload, None, f, self.mode)
-            d_in = self._transfer(at_node, w, nbytes, rec)
-            self._count_embedded(rec, at_node, w, None, f)
+            d_in = self._hop(at_node, w, inv.payload, None, f, rec)
         else:
             # Predecessor outputs are retained at their producers and move in
             # parallel once the join executor is known: the slowest transfer
             # gates the stage.
-            d_in = 0.0
-            for p in preds:
-                nbytes = state_mod.stage_transfer_bytes(
-                    inv.outputs[p], app.functions[p], f, self.mode
-                )
-                d_p = self._transfer(inv.output_worker[p], w, nbytes, rec)
-                self._count_embedded(rec, inv.output_worker[p], w, app.functions[p], f)
-                if d_p > d_in:
-                    d_in = d_p
+            d_in = max(
+                self._hop(inv.stages[p].worker, w, inv.outputs[p], app.functions[p], f, rec)
+                for p in preds
+            )
         rec.transfer_s = d_in
 
-        ops = f.fixed_ops * inv.compute_factor + f.ops_per_byte * input_bytes
+        ops, out_bytes = stage_io(f, input_bytes, inv.compute_factor)
         if not math.isfinite(ops):
             raise EngineError(f"non-finite compute demand for {fid}")
         t_enq = now + d_in + access.delay
-        self.schedule(t_enq, EXEC_START, (inv_id, fid, w, input_bytes, ops))
-
-    def _count_embedded(
-        self,
-        rec: StageRecord,
-        src: int,
-        dst: int,
-        producer,
-        consumer,
-    ) -> None:
-        # Embedded state bytes count as state traffic only when the stage
-        # transfer actually crossed the network.
-        if self.mode is not StateMode.EMBEDDED or src == dst:
-            return
-        moved = 0.0
-        if producer is not None:
-            moved += producer.state_size
-        if consumer is not None:
-            moved += consumer.state_size
-        rec.state_bytes += moved
+        self.schedule(t_enq, EXEC_START, (inv_id, fid, w, out_bytes, ops))
 
     def _on_exec_start(self, ev: Event) -> None:
-        inv_id, fid, w, input_bytes, ops = ev.data
+        inv_id, fid, w, out_bytes, ops = ev.data
         wr = self.workers[w]
         # A core freed at this instant belongs to the queue's head (its
         # EXEC_DONE may not have been popped yet), so join the queue if any.
         core = None if wr.queue else wr.free_core(ev.time)
         if core is None:
-            wr.enqueue((inv_id, fid, input_bytes, ops, ev.time))
+            wr.enqueue((inv_id, fid, out_bytes, ops, ev.time))
             return
-        self._start_on_core(wr, core, inv_id, fid, w, input_bytes, ops, ev.time, ev.time)
+        self._start_on_core(wr, core, inv_id, fid, w, out_bytes, ops, ev.time, ev.time)
 
     def _start_on_core(
         self,
@@ -374,7 +352,7 @@ class _Run:
         inv_id: int,
         fid: str,
         w: int,
-        input_bytes: float,
+        out_bytes: float,
         ops: float,
         t_enq: float,
         now: float,
@@ -387,22 +365,16 @@ class _Run:
         rec.compute_s = duration
         wr.busy_until[core] = now + duration
         wr.busy_seconds += duration
-        self.schedule(now + duration, EXEC_DONE, (inv_id, fid, w, core, input_bytes))
+        self.schedule(now + duration, EXEC_DONE, (inv_id, fid, w, out_bytes))
 
     def _on_exec_done(self, ev: Event) -> None:
-        inv_id, fid, w, _core, input_bytes = ev.data
+        inv_id, fid, w, out_bytes = ev.data
         inv = self.invocations[inv_id]
         app = self.apps[inv.app]
-        f = app.functions[fid]
-        out_bytes = f.output_ratio * input_bytes
         inv.outputs[fid] = out_bytes
-        inv.output_worker[fid] = w
 
         if fid == app.sink:
-            rec = inv.stages[fid]
-            nbytes = state_mod.stage_transfer_bytes(out_bytes, f, None, self.mode)
-            d_out = self._transfer(w, inv.client, nbytes, rec)
-            self._count_embedded(rec, w, inv.client, f, None)
+            d_out = self._hop(w, inv.client, out_bytes, app.functions[fid], None, inv.stages[fid])
             self.schedule(ev.time + d_out, DELIVERED, (inv_id,))
         else:
             for q in app.succs[fid]:
@@ -414,8 +386,8 @@ class _Run:
         if wr.queue:
             core = wr.free_core(ev.time)
             if core is not None:
-                q_inv, q_fid, q_input, q_ops, q_t = wr.dequeue()
-                self._start_on_core(wr, core, q_inv, q_fid, w, q_input, q_ops, q_t, ev.time)
+                q_inv, q_fid, q_out, q_ops, q_t = wr.dequeue()
+                self._start_on_core(wr, core, q_inv, q_fid, w, q_out, q_ops, q_t, ev.time)
 
     def _on_delivered(self, ev: Event) -> None:
         (inv_id,) = ev.data

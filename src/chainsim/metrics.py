@@ -26,6 +26,15 @@ INVOCATIONS_HEADER = [
 ]
 LINKS_HEADER = ["node_a", "node_b", "bytes"]
 WORKERS_HEADER = ["worker_id", "busy_s", "utilization"]
+PLOTDATA_HEADER = [  # keys of the runner's summary records
+    "point",
+    "swept_value",
+    "seed",
+    "mean_latency_s",
+    "p50_latency_s",
+    "p95_latency_s",
+    "p99_latency_s",
+]
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -39,34 +48,10 @@ def percentile(values: Sequence[float], p: float) -> float:
     return ordered[rank - 1]
 
 
-def _fmt(x: float | int | str) -> str:
+def _fmt(x: float | int | str | None) -> str:
+    if x is None:
+        return ""
     return repr(x) if isinstance(x, float) else str(x)
-
-
-def invocations_rows(m: MetricsLog) -> list[list]:
-    rows = []
-    for inv in m.invocations:
-        rows.append(
-            [
-                inv.inv_id,
-                inv.app,
-                inv.arrival,
-                inv.completion if inv.completion is not None else "",
-                inv.latency if inv.latency is not None else "",
-                len(inv.stages),
-                inv.state_bytes,
-                inv.migrations,
-            ]
-        )
-    return rows
-
-
-def links_rows(m: MetricsLog) -> list[list]:
-    return [[a, b, m.link_bytes[(a, b)]] for a, b in sorted(m.link_bytes)]
-
-
-def workers_rows(m: MetricsLog) -> list[list]:
-    return [[wid, m.worker_busy[wid], m.utilization[wid]] for wid in sorted(m.worker_busy)]
 
 
 def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
@@ -79,15 +64,36 @@ def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
 
 
 def invocations_csv(m: MetricsLog) -> str:
-    return _csv_text(INVOCATIONS_HEADER, invocations_rows(m))
+    return _csv_text(
+        INVOCATIONS_HEADER,
+        (
+            [
+                inv.inv_id,
+                inv.app,
+                inv.arrival,
+                inv.completion,
+                inv.latency,
+                len(inv.stages),
+                inv.state_bytes,
+                inv.migrations,
+            ]
+            for inv in m.invocations
+        ),
+    )
 
 
 def links_csv(m: MetricsLog) -> str:
-    return _csv_text(LINKS_HEADER, links_rows(m))
+    return _csv_text(LINKS_HEADER, ([a, b, m.link_bytes[(a, b)]] for a, b in sorted(m.link_bytes)))
 
 
 def workers_csv(m: MetricsLog) -> str:
-    return _csv_text(WORKERS_HEADER, workers_rows(m))
+    rows = ([wid, m.worker_busy[wid], m.utilization[wid]] for wid in sorted(m.worker_busy))
+    return _csv_text(WORKERS_HEADER, rows)
+
+
+def plotdata_csv(records: Iterable[Mapping]) -> str:
+    """One row per summary record: its point, swept value, seed and latency statistics."""
+    return _csv_text(PLOTDATA_HEADER, ([rec[key] for key in PLOTDATA_HEADER] for rec in records))
 
 
 def summary_record(m: MetricsLog) -> dict:

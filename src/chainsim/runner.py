@@ -64,7 +64,7 @@ def _run_points(
             records.append(record)
     (out / "summary.json").write_text(json.dumps({"records": records}, indent=2) + "\n", encoding="utf-8")
     if emit_plotdata:
-        (out / "plotdata.csv").write_text(_plotdata_csv(records), encoding="utf-8")
+        (out / "plotdata.csv").write_text(metrics.plotdata_csv(records), encoding="utf-8")
     return results
 
 
@@ -74,17 +74,3 @@ def _write_run_dir(dirpath: Path, log: engine.MetricsLog) -> None:
     (dirpath / "links.csv").write_text(metrics.links_csv(log), encoding="utf-8")
     (dirpath / "workers.csv").write_text(metrics.workers_csv(log), encoding="utf-8")
 
-
-def _plotdata_csv(records: list[dict]) -> str:
-    lines = ["point,swept_value,seed,mean_latency_s,p50_latency_s,p95_latency_s,p99_latency_s"]
-    for rec in records:
-        value = rec["swept_value"]
-        cells = [
-            str(rec["point"]),
-            "" if value is None else repr(value) if isinstance(value, float) else str(value),
-            str(rec["seed"]),
-        ]
-        for key in ("mean_latency_s", "p50_latency_s", "p95_latency_s", "p99_latency_s"):
-            cells.append("" if rec[key] is None else repr(rec[key]))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

@@ -4,7 +4,9 @@ Nodes play one of three roles: clients inject invocations, brokers relay
 traffic, workers execute functions. Links are bidirectional delay+rate pipes
 with no contention model. Routes are shortest paths on total propagation with
 deterministic tie-breaking (fewer hops, then lexicographically smallest id
-sequence), so the network layer never introduces nondeterminism into a run.
+sequence read from the lower-id endpoint), so the network layer never
+introduces nondeterminism into a run. Both directions between two nodes take
+the same path.
 
 Transfer cost is store-and-forward: the full payload is serialized on every
 hop, so a transfer of ``n`` bytes over a route costs
@@ -189,9 +191,11 @@ def _connected(t: Topology) -> bool:
 def build_routes(t: Topology) -> RouteTable:
     """Compute the all-pairs route table.
 
-    For each ordered pair the route minimizes total propagation; ties break
-    on fewer hops, then on the lexicographically smallest node-id sequence.
-    Raises ValueError on an invalid topology.
+    Each unordered pair is routed once, from its lower id: the path
+    minimizes total propagation, and ties break on fewer hops, then on the
+    lexicographically smallest node-id sequence. The other direction takes
+    the reversed path. Propagation and bottleneck rate accumulate over the
+    hops in path order. Raises ValueError on an invalid topology.
     """
     violations = validate_topology(t)
     if violations:
@@ -208,36 +212,30 @@ def build_routes(t: Topology) -> RouteTable:
 
     routes: dict[tuple[int, int], Route] = {}
     for src in adj:
-        best = _dijkstra(src, adj)
-        for dst, (prop, path) in best.items():
-            hops = []
-            for u, v in zip(path, path[1:]):
-                hops.append(link_params[(u, v) if u <= v else (v, u)])
-            rate = min((h[1] for h in hops), default=math.inf)
-            routes[(src, dst)] = Route(
-                path=tuple(path),
-                hops=tuple(hops),
-                propagation=prop,
-                bottleneck_rate=rate,
-                hop_count=len(hops),
-            )
+        for dst, path in _dijkstra(src, adj).items():
+            if src > dst:
+                continue
+            for p in (path, path[::-1]):
+                hops = tuple(link_params[(u, v) if u <= v else (v, u)] for u, v in zip(p, p[1:]))
+                prop = 0.0
+                for link_prop, _rate in hops:
+                    prop += link_prop
+                rate = min((h[1] for h in hops), default=math.inf)
+                routes[(p[0], p[-1])] = Route(p, hops, prop, rate, len(hops))
     return RouteTable(routes)
 
 
-def _dijkstra(
-    src: int, adj: dict[int, list[tuple[int, float, float]]]
-) -> dict[int, tuple[float, tuple[int, ...]]]:
+def _dijkstra(src: int, adj: dict[int, list[tuple[int, float, float]]]) -> dict[int, tuple[int, ...]]:
     # Priority (propagation, hop count, path) realizes the tie-break order
     # directly; the path component makes the popped label unique per node.
-    # The reported propagation is the accumulated comparison key itself.
-    best: dict[int, tuple[float, tuple[int, ...]]] = {}
+    best: dict[int, tuple[int, ...]] = {}
     heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (src,))]
     while heap:
         prop, nhops, path = heapq.heappop(heap)
         node = path[-1]
         if node in best:
             continue
-        best[node] = (prop, path)
+        best[node] = path
         for nbr, link_prop, _rate in adj[node]:
             if nbr not in best:
                 heapq.heappush(heap, (prop + link_prop, nhops + 1, path + (nbr,)))

@@ -9,6 +9,7 @@ longest-path dynamic programming and serves as the simulator's oracle.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -96,19 +97,37 @@ def chain_to_dag(c: ChainSpec) -> DagSpec:
 
 
 def predecessor_map(d: DagSpec) -> dict[str, tuple[str, ...]]:
+    """Sorted producers of each vertex; edges with an unknown end are ignored."""
     preds: dict[str, list[str]] = {v: [] for v in d.vertices}
     for p, q in sorted(d.edges):
-        if q in preds:
+        if p in preds and q in preds:
             preds[q].append(p)
-    return {v: tuple(sorted(ps)) for v, ps in preds.items()}
+    return {v: tuple(ps) for v, ps in preds.items()}
 
 
 def successor_map(d: DagSpec) -> dict[str, tuple[str, ...]]:
+    """Sorted consumers of each vertex; edges with an unknown end are ignored."""
     succs: dict[str, list[str]] = {v: [] for v in d.vertices}
     for p, q in sorted(d.edges):
-        if p in succs:
+        if p in succs and q in succs:
             succs[p].append(q)
-    return {v: tuple(sorted(qs)) for v, qs in succs.items()}
+    return {v: tuple(qs) for v, qs in succs.items()}
+
+
+def _kahn(preds: Mapping[str, tuple[str, ...]], succs: Mapping[str, tuple[str, ...]]) -> list[str]:
+    """Kahn's algorithm with lowest-id-first tie-breaking; omits every vertex on or after a cycle."""
+    remaining = {v: len(ps) for v, ps in preds.items()}
+    ready = [v for v, k in remaining.items() if k == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for q in succs[v]:
+            remaining[q] -= 1
+            if remaining[q] == 0:
+                heapq.heappush(ready, q)
+    return order
 
 
 def validate_dag(d: DagSpec) -> list[str]:
@@ -121,15 +140,10 @@ def validate_dag(d: DagSpec) -> list[str]:
             if end not in d.vertices:
                 violations.append(f"edge ({p},{q}) references unknown vertex {end}")
 
-    edges = {(p, q) for p, q in d.edges if p in d.vertices and q in d.vertices}
-    indeg = {v: 0 for v in d.vertices}
-    outdeg = {v: 0 for v in d.vertices}
-    for p, q in edges:
-        indeg[q] += 1
-        outdeg[p] += 1
-
-    sources = sorted(v for v in d.vertices if indeg[v] == 0)
-    sinks = sorted(v for v in d.vertices if outdeg[v] == 0)
+    preds = predecessor_map(d)
+    succs = successor_map(d)
+    sources = sorted(v for v in d.vertices if not preds[v])
+    sinks = sorted(v for v in d.vertices if not succs[v])
     if not sources:
         violations.append("no source")
     elif len(sources) > 1:
@@ -139,26 +153,12 @@ def validate_dag(d: DagSpec) -> list[str]:
     elif len(sinks) > 1:
         violations.append("multiple sinks")
 
-    # Cycle detection by repeated removal of zero-in-degree vertices.
-    remaining = dict(indeg)
-    ready = sorted(v for v, k in remaining.items() if k == 0)
-    succs = successor_map(DagSpec(d.app_id, d.vertices, frozenset(edges), d.entry_payload))
-    processed = 0
-    while ready:
-        v = ready.pop(0)
-        processed += 1
-        for q in succs[v]:
-            remaining[q] -= 1
-            if remaining[q] == 0:
-                ready.append(q)
-        ready.sort()
-    acyclic = processed == len(d.vertices)
+    acyclic = len(_kahn(preds, succs)) == len(d.vertices)
     if not acyclic:
         violations.append("cycle detected")
 
     if acyclic and len(sources) == 1 and len(sinks) == 1:
         fwd = _reachable(sources[0], succs)
-        preds = predecessor_map(d)
         back = _reachable(sinks[0], preds)
         for v in sorted(d.vertices):
             if v not in fwd or v not in back:
@@ -195,31 +195,20 @@ def dag_sink(d: DagSpec) -> str:
 
 def topo_order(d: DagSpec) -> list[str]:
     """Kahn's algorithm with lowest-id-first tie-breaking."""
-    import heapq
-
-    preds = predecessor_map(d)
-    succs = successor_map(d)
-    remaining = {v: len(ps) for v, ps in preds.items()}
-    ready = [v for v, k in remaining.items() if k == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for q in succs[v]:
-            remaining[q] -= 1
-            if remaining[q] == 0:
-                heapq.heappush(ready, q)
+    order = _kahn(predecessor_map(d), successor_map(d))
     if len(order) != len(d.vertices):
         raise ValueError("cycle detected")
     return order
 
 
-def stage_io(f: FunctionSpec, input_bytes: float) -> tuple[float, float]:
-    """(compute operations, output bytes) for one stage at the given input size."""
+def stage_io(f: FunctionSpec, input_bytes: float, compute_factor: float = 1.0) -> tuple[float, float]:
+    """(compute operations, output bytes) for one stage at the given input size.
+
+    ``compute_factor`` scales ``fixed_ops``; the engine draws it per invocation.
+    """
     if input_bytes < 0:
         raise ValueError(f"input_bytes must be >= 0, got {input_bytes}")
-    compute_ops = f.fixed_ops + f.ops_per_byte * input_bytes
+    compute_ops = f.fixed_ops * compute_factor + f.ops_per_byte * input_bytes
     output_bytes = f.output_ratio * input_bytes
     return compute_ops, output_bytes
 
@@ -262,9 +251,10 @@ def critical_path_time(
 ) -> float:
     """Zero-load completion time of the sink, including result delivery.
 
-    Each vertex starts once all predecessor outputs have arrived at its
-    assigned worker (per-edge transfer delays, state costs at dispatch) and
-    computes without queueing. Longest-path dynamic programming in
+    A vertex is dispatched when its last predecessor finishes; every input
+    then moves to its worker in parallel, so a join's inputs have arrived at
+    ``max(done_p) + max(xfer_p)``. State costs are paid at dispatch and the
+    vertex computes without queueing. Longest-path dynamic programming in
     topological order; ties in the max leave the result unchanged.
     """
     violations = validate_dag(d)
@@ -291,9 +281,8 @@ def critical_path_time(
                 rt, client, w, state_mod.stage_transfer_bytes(entry, None, f, mode)
             )
         else:
-            arrived = max(
-                done[p]
-                + transfer_delay(
+            arrived = max(done[p] for p in preds[v]) + max(
+                transfer_delay(
                     rt, a[p], w, state_mod.stage_transfer_bytes(outputs[p], functions[p], f, mode)
                 )
                 for p in preds[v]

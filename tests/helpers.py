@@ -65,13 +65,17 @@ def random_topology(rng: random.Random, max_nodes: int = 7, min_workers: int = 1
 def brute_force_routes(t: Topology) -> dict[tuple[int, int], tuple[float, tuple[int, ...]]]:
     """All-pairs minimum over every simple path, by (prop, hops, path).
 
-    Propagation accumulates left to right so ties and float effects match
-    the library's comparison key exactly.
+    Each unordered pair is taken from its lower id; the other direction is
+    the reversed path, its propagation summed along that path. Propagation
+    accumulates left to right so ties and float effects match the library's
+    comparison key exactly.
     """
     adj: dict[int, list[tuple[int, float]]] = {node.id: [] for node in t.nodes}
+    prop_of: dict[frozenset[int], float] = {}
     for link in t.links:
         adj[link.endpoint_a].append((link.endpoint_b, link.propagation))
         adj[link.endpoint_b].append((link.endpoint_a, link.propagation))
+        prop_of[frozenset((link.endpoint_a, link.endpoint_b))] = link.propagation
 
     best: dict[tuple[int, int], tuple[float, int, tuple[int, ...]]] = {}
 
@@ -87,7 +91,16 @@ def brute_force_routes(t: Topology) -> dict[tuple[int, int], tuple[float, tuple[
 
     for node in t.nodes:
         visit(node.id, (node.id,), 0.0)
-    return {key: (prop, path) for key, (prop, _hops, path) in best.items()}
+    routes = {}
+    for (src, dst), (prop, _hops, path) in best.items():
+        if src <= dst:
+            routes[(src, dst)] = (prop, path)
+            back = path[::-1]
+            prop = 0.0
+            for u, v in zip(back, back[1:]):
+                prop += prop_of[frozenset((u, v))]
+            routes[(dst, src)] = (prop, back)
+    return routes
 
 
 # -- DAGs ---------------------------------------------------------------------
@@ -118,7 +131,10 @@ def enumerate_critical_path(
 
     Walks every path, accumulating transfer, state, and compute costs in the
     library's stated order; the result is the max over paths. Per-vertex
-    output sizes are fixed by the join-sum rule before enumeration.
+    output sizes are fixed by the join-sum rule before enumeration. Every
+    input of a vertex moves once the vertex is dispatched, so the inbound
+    cost of a path's step into a vertex is the slowest of all its input
+    transfers, not the one along the path.
     """
     from chainsim.state import stage_transfer_bytes
     from chainsim.topology import transfer_delay
@@ -139,6 +155,7 @@ def enumerate_critical_path(
 
     outputs: dict[str, float] = {}
     vertex_cost: dict[str, tuple[float, float]] = {}  # (state delay, compute s)
+    inbound: dict[str, float] = {}  # slowest input transfer of each non-source vertex
     for v in topo_order(dag):
         f = functions[v]
         input_bytes = vertex_input_bytes(preds[v], outputs, entry)
@@ -146,6 +163,16 @@ def enumerate_critical_path(
         outputs[v] = out_bytes
         access = remote_state_access(mode, reg, dag.app_id, f, assignment[v], routes)
         vertex_cost[v] = (access.delay, compute_ops / workers[assignment[v]].core_speed)
+        if preds[v]:
+            inbound[v] = max(
+                transfer_delay(
+                    routes,
+                    assignment[p],
+                    assignment[v],
+                    stage_transfer_bytes(outputs[p], functions[p], f, mode),
+                )
+                for p in preds[v]
+            )
 
     source, sink = dag_source(dag), dag_sink(dag)
     best = -math.inf
@@ -164,16 +191,7 @@ def enumerate_critical_path(
                 best = t
             return
         for q in succs[v]:
-            walk(
-                q,
-                t
-                + transfer_delay(
-                    routes,
-                    assignment[v],
-                    assignment[q],
-                    stage_transfer_bytes(outputs[v], f, functions[q], mode),
-                ),
-            )
+            walk(q, t + inbound[q])
 
     t0 = transfer_delay(
         routes, client, assignment[source], stage_transfer_bytes(entry, None, functions[source], mode)
@@ -238,14 +256,13 @@ def chain_scenario_raw(
     }
 
 
-def random_chain_scenario_raw(rng: random.Random, *, seed: int, policy: str, state_mode: str) -> dict:
-    """Randomized scenario for oracle checks: <= 8 nodes, chain of <= 6 stages."""
-    topo = random_topology(rng, max_nodes=8, min_workers=1)
+def _topology_raw(topo: Topology, cores: int | None = None) -> dict:
+    """A topology as a config document's ``topology`` object; ``cores`` overrides every worker's."""
     nodes = []
     for n in topo.nodes:
         nd = {"id": n.id, "role": n.role}
         if n.role == "worker":
-            nd["cores"] = n.cores
+            nd["cores"] = n.cores if cores is None else cores
             nd["core_speed"] = n.core_speed
         nodes.append(nd)
     links = [
@@ -257,29 +274,27 @@ def random_chain_scenario_raw(rng: random.Random, *, seed: int, policy: str, sta
         }
         for l in topo.links
     ]
-    chain_len = rng.randint(1, 6)
-    functions = [
-        {
-            "id": f"f{k}",
-            "fixed_ops": rng.choice([0.0, 1e3, 1e4, 1e5]),
-            "ops_per_byte": rng.choice([0.5, 1.0, 3.0]),
-            "output_ratio": rng.choice([0.0, 0.25, 1.0, 1.5]),
-            "state_size": rng.choice([0.0, 1e3, 2e4]),
-        }
-        for k in range(chain_len)
-    ]
-    client = topo.clients()[0].id
+    return {"nodes": nodes, "links": links}
+
+
+def _random_function(rng: random.Random, fid: str) -> dict:
     return {
-        "topology": {"nodes": nodes, "links": links},
-        "workflows": [
-            {
-                "app_id": "app",
-                "client": client,
-                "entry_payload": rng.uniform(100, 10000),
-                "functions": functions,
-                "chain": [f"f{k}" for k in range(chain_len)],
-            }
-        ],
+        "id": fid,
+        "fixed_ops": rng.choice([0.0, 1e3, 1e4, 1e5]),
+        "ops_per_byte": rng.choice([0.5, 1.0, 3.0]),
+        "output_ratio": rng.choice([0.0, 0.25, 1.0, 1.5]),
+        "state_size": rng.choice([0.0, 1e3, 2e4]),
+    }
+
+
+def _one_app_raw(
+    topo_raw: dict, client: int, workflow: dict, *, seed: int, policy: str, state_mode: str
+) -> dict:
+    """A one-app document at rate 1/s for 10 s; ``workflow`` lacks only app_id and client."""
+    workflow = {"app_id": "app", "client": client, **workflow}
+    return {
+        "topology": topo_raw,
+        "workflows": [workflow],
         "workload": {
             "rates": {"app": 1.0},
             "horizon": 10.0,
@@ -291,3 +306,40 @@ def random_chain_scenario_raw(rng: random.Random, *, seed: int, policy: str, sta
         "seed": seed,
         "replications": 1,
     }
+
+
+def random_chain_scenario_raw(rng: random.Random, *, seed: int, policy: str, state_mode: str) -> dict:
+    """Randomized scenario for oracle checks: <= 8 nodes, chain of <= 6 stages."""
+    topo = random_topology(rng, max_nodes=8, min_workers=1)
+    chain_len = rng.randint(1, 6)
+    functions = [_random_function(rng, f"f{k}") for k in range(chain_len)]
+    workflow = {
+        "entry_payload": rng.uniform(100, 10000),
+        "functions": functions,
+        "chain": [f"f{k}" for k in range(chain_len)],
+    }
+    return _one_app_raw(
+        _topology_raw(topo), topo.clients()[0].id, workflow, seed=seed, policy=policy, state_mode=state_mode
+    )
+
+
+def random_dag_scenario_raw(rng: random.Random, *, seed: int, policy: str, state_mode: str) -> dict:
+    """Randomized DAG scenario for oracle checks: <= 8 nodes, <= 8 vertices.
+
+    Every worker has one core per vertex, so a single invocation never queues.
+    """
+    topo = random_topology(rng, max_nodes=8, min_workers=1)
+    dag = random_dag(rng, max_vertices=8)
+    workflow = {
+        "entry_payload": dag.entry_payload,
+        "functions": [_random_function(rng, v) for v in sorted(dag.vertices)],
+        "dag": {"vertices": sorted(dag.vertices), "edges": [list(e) for e in sorted(dag.edges)]},
+    }
+    return _one_app_raw(
+        _topology_raw(topo, cores=len(dag.vertices)),
+        topo.clients()[0].id,
+        workflow,
+        seed=seed,
+        policy=policy,
+        state_mode=state_mode,
+    )

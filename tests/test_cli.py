@@ -57,6 +57,14 @@ class TestValidate:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["validate", str(bad)]) == 1
 
+    def test_edge_from_unknown_vertex_is_a_config_error(self, tmp_path, capsys):
+        raw = load_json(CONFIGS / "diamond_dag.json")
+        raw["workflows"][0]["dag"]["edges"].append(["ghost", "merge"])
+        assert main(["validate", str(write_config(tmp_path, raw))]) == 1
+        err = capsys.readouterr().err
+        assert "error: workflow diamond: edge (ghost,merge) references unknown vertex ghost" in err
+        assert "Traceback" not in err
+
 
 BAD_NUMBERS = {
     "cores string": (lambda raw: raw["topology"]["nodes"][1], "cores", "abc"),

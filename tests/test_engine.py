@@ -12,7 +12,7 @@ from chainsim.state import StateMode, StateRegistry
 from chainsim.topology import NodeSpec
 from chainsim.workflow import critical_path_time
 
-from helpers import chain_scenario_raw, random_chain_scenario_raw
+from helpers import chain_scenario_raw, random_chain_scenario_raw, random_dag_scenario_raw
 
 ALL_POLICIES = ["random", "round_robin", "least_loaded", "state_local", "min_latency_estimate"]
 ALL_MODES = ["embedded", "remote_fixed", "remote_migrate"]
@@ -227,6 +227,20 @@ class TestRandomizedZeroLoad:
             assert log.completed == 1
             inv = log.invocations[0]
             assert inv.latency == pytest.approx(oracle_latency(sc, log, inv), abs=1e-9), raw
+
+    def test_random_dags_equal_critical_path_exactly(self):
+        # Joins start at max(done) + max(transfer) in both the engine and the
+        # oracle; a per-edge max(done + transfer) disagrees on some of these.
+        rng = random.Random(0xDA6)
+        combos = list(itertools.product(ALL_POLICIES, ALL_MODES))
+        for k in range(300):
+            policy, mode = combos[k % len(combos)]
+            raw = random_dag_scenario_raw(rng, seed=k, policy=policy, state_mode=mode)
+            sc = build(raw, explicit={"app": [0.0]})
+            log = engine.run(sc)
+            assert log.completed == 1
+            inv = log.invocations[0]
+            assert inv.latency == oracle_latency(sc, log, inv), (policy, mode, raw)
 
 
 class TestComputeRandomization:
