@@ -65,6 +65,22 @@ class TestValidate:
         assert "error: workflow diamond: edge (ghost,merge) references unknown vertex ghost" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "chain, errors",
+        [
+            ([], ["chain has no functions"]),
+            ("f0", ["chain must be a list of function ids"]),
+            (["f0", "fx"], ["chain references unknown function fx"]),
+            (["f0", "f1", "f0"], ["duplicate function f0 in chain"]),
+            (["f0", "f0", "fx"], ["duplicate function f0 in chain", "chain references unknown function fx"]),
+        ],
+    )
+    def test_chain_errors(self, chain, errors, tmp_path, capsys):
+        raw = chain_scenario_raw()
+        raw["workflows"][0]["chain"] = chain
+        assert main(["validate", str(write_config(tmp_path, raw))]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: workflow app: {e}" for e in errors]
+
 
 BAD_NUMBERS = {
     "cores string": (lambda raw: raw["topology"]["nodes"][1], "cores", "abc"),
