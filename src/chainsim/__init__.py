@@ -9,7 +9,6 @@ from .state import (
     StateAccess,
     StateMode,
     StateRegistry,
-    embedded_payload_overhead,
     remote_state_access,
 )
 from .topology import (
@@ -22,12 +21,9 @@ from .topology import (
     validate_topology,
 )
 from .workflow import (
-    ChainSpec,
     DagSpec,
     FunctionSpec,
-    chain_to_dag,
     critical_path_time,
-    join_payload,
     stage_io,
     validate_dag,
 )
@@ -36,7 +32,6 @@ from .workload import gen_arrivals
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainSpec",
     "DagSpec",
     "DispatchContext",
     "EngineError",
@@ -54,13 +49,10 @@ __all__ = [
     "StateRegistry",
     "Topology",
     "build_routes",
-    "chain_to_dag",
     "choose_worker",
     "critical_path_time",
-    "embedded_payload_overhead",
     "estimate_completion",
     "gen_arrivals",
-    "join_payload",
     "percentile",
     "remote_state_access",
     "run",

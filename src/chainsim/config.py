@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from . import workflow as wf
 from .dispatch import PolicyKind
@@ -102,6 +102,11 @@ def _num(value: Any) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def _int(value: Any) -> int | None:
+    """``value`` if it is an integer (not a bool), else None."""
+    return None if isinstance(value, bool) or not isinstance(value, int) else value
+
+
 def _num_field(raw: dict, key: str, where: str, violations: list[str]) -> float:
     """An optional numeric field, 0.0 when absent; anything but a finite number is a violation."""
     x = _num(raw.get(key, 0.0))
@@ -111,41 +116,62 @@ def _num_field(raw: dict, key: str, where: str, violations: list[str]) -> float:
     return x
 
 
+def _list(value: Any, message: str, violations: list[str], nonempty: bool = False) -> list | None:
+    """``value`` if it is a list (non-empty if asked), else None after recording ``message``."""
+    if isinstance(value, list) and (value or not nonempty):
+        return value
+    violations.append(message)
+    return None
+
+
+def _enum(value: Any, choices: Sequence[str], name: str, violations: list[str]) -> str | None:
+    """``value`` if it is one of ``choices``, else None after recording a violation."""
+    if isinstance(value, str) and value in choices:
+        return value
+    violations.append(f"{name} must be one of {list(choices)}, got {value!r}")
+    return None
+
+
 def _parse_topology(raw: Any, violations: list[str]) -> Topology | None:
     if not isinstance(raw, dict):
         violations.append("topology must be an object with nodes and links")
         return None
     nodes = []
-    for i, nd in enumerate(raw.get("nodes", [])):
-        if not isinstance(nd, dict) or not isinstance(nd.get("id"), int):
-            violations.append(f"topology.nodes[{i}] needs an integer id")
-            continue
+    raw_nodes = _list(raw.get("nodes", []), "topology.nodes must be a list", violations)
+    for i, nd in enumerate(raw_nodes or []):
         where = f"topology.nodes[{i}]"
-        cores = nd.get("cores", 0)
-        if isinstance(cores, bool) or not isinstance(cores, int):
+        nd = nd if isinstance(nd, dict) else {}
+        node_id = _int(nd.get("id"))
+        if node_id is None:
+            violations.append(f"{where} needs an integer id")
+            continue
+        cores = _int(nd.get("cores", 0))
+        if cores is None:
             violations.append(f"{where} cores must be an integer")
             cores = 0
         nodes.append(
             NodeSpec(
-                id=nd["id"],
+                id=node_id,
                 role=str(nd.get("role", "")),
                 cores=cores,
                 core_speed=_num_field(nd, "core_speed", where, violations),
             )
         )
     links = []
-    for i, lk in enumerate(raw.get("links", [])):
-        if not isinstance(lk, dict) or not isinstance(lk.get("endpoint_a"), int) or not isinstance(
-            lk.get("endpoint_b"), int
-        ):
-            violations.append(f"topology.links[{i}] needs integer endpoint_a and endpoint_b")
+    raw_links = _list(raw.get("links", []), "topology.links must be a list", violations)
+    for i, lk in enumerate(raw_links or []):
+        where = f"topology.links[{i}]"
+        lk = lk if isinstance(lk, dict) else {}
+        a, b = _int(lk.get("endpoint_a")), _int(lk.get("endpoint_b"))
+        if a is None or b is None:
+            violations.append(f"{where} needs integer endpoint_a and endpoint_b")
             continue
         links.append(
             LinkSpec(
-                endpoint_a=lk["endpoint_a"],
-                endpoint_b=lk["endpoint_b"],
-                propagation=_num_field(lk, "propagation", f"topology.links[{i}]", violations),
-                rate=_num_field(lk, "rate", f"topology.links[{i}]", violations),
+                endpoint_a=a,
+                endpoint_b=b,
+                propagation=_num_field(lk, "propagation", where, violations),
+                rate=_num_field(lk, "rate", where, violations),
             )
         )
     topo = Topology(tuple(nodes), tuple(links))
@@ -154,6 +180,7 @@ def _parse_topology(raw: Any, violations: list[str]) -> Topology | None:
 
 
 def _parse_workflow(raw: Any, topo: Topology | None, violations: list[str]) -> AppWorkflow | None:
+    """One workflow entry; a ``chain`` becomes the DAG of its consecutive stages."""
     if not isinstance(raw, dict):
         violations.append("workflow entries must be objects")
         return None
@@ -164,7 +191,7 @@ def _parse_workflow(raw: Any, topo: Topology | None, violations: list[str]) -> A
     tag = f"workflow {app_id}"
 
     functions: dict[str, wf.FunctionSpec] = {}
-    for fd in raw.get("functions", []):
+    for fd in _list(raw.get("functions", []), f"{tag}: functions must be a list", violations) or []:
         if not isinstance(fd, dict) or not isinstance(fd.get("id"), str):
             violations.append(f"{tag}: each function needs a string id")
             continue
@@ -186,86 +213,86 @@ def _parse_workflow(raw: Any, topo: Topology | None, violations: list[str]) -> A
         violations.append(f"{tag}: entry_payload must be a number > 0")
         entry_payload = 1.0
 
-    has_chain = "chain" in raw
-    has_dag = "dag" in raw
-    if has_chain == has_dag:
+    if ("chain" in raw) == ("dag" in raw):
         violations.append(f"{tag}: exactly one of 'chain' or 'dag' is required")
         return None
-
-    if has_chain:
-        if not isinstance(raw["chain"], list):
-            violations.append(f"{tag}: chain must be a list of function ids")
+    if "chain" in raw:
+        kind = "chain"
+        chain = _list(raw["chain"], f"{tag}: chain must be a list of function ids", violations)
+        if chain is None:
             return None
-        chain = wf.ChainSpec(app_id, tuple(str(x) for x in raw["chain"]), entry_payload)
-        errs = wf.validate_chain(chain, functions)
-        if errs:
-            violations.extend(f"{tag}: {v}" for v in errs)
+        if not chain:
+            violations.append(f"{tag}: chain has no functions")
             return None
-        dag = wf.chain_to_dag(chain)
+        vertices = [str(x) for x in chain]
+        edges = list(zip(vertices, vertices[1:]))
     else:
+        kind = "dag"
         dd = raw["dag"]
         if not isinstance(dd, dict):
             violations.append(f"{tag}: dag must be an object with vertices and edges")
             return None
-        vertices = frozenset(str(v) for v in dd.get("vertices", []))
-        edges = set()
-        for e in dd.get("edges", []):
-            if not isinstance(e, (list, tuple)) or len(e) != 2:
-                violations.append(f"{tag}: dag edges must be [producer, consumer] pairs")
-                return None
-            edges.add((str(e[0]), str(e[1])))
-        dag = wf.DagSpec(app_id, vertices, frozenset(edges), entry_payload)
-        for v in sorted(vertices):
-            if v not in functions:
-                violations.append(f"{tag}: dag references unknown function {v}")
-    errs = wf.validate_dag(dag)
+        raw_vertices = _list(dd.get("vertices", []), f"{tag}: dag vertices must be a list", violations)
+        raw_edges = _list(dd.get("edges", []), f"{tag}: dag edges must be a list", violations)
+        if raw_vertices is None or raw_edges is None:
+            return None
+        if not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in raw_edges):
+            violations.append(f"{tag}: dag edges must be [producer, consumer] pairs")
+            return None
+        vertices = sorted({str(v) for v in raw_vertices})
+        edges = [(str(p), str(q)) for p, q in raw_edges]
+
+    errs = []
+    seen: set[str] = set()
+    for v in vertices:
+        if v not in functions:
+            errs.append(f"{kind} references unknown function {v}")
+        if v in seen:
+            errs.append(f"duplicate function {v} in chain")
+        seen.add(v)
+    dag = wf.DagSpec(app_id, frozenset(vertices), frozenset(edges), entry_payload)
+    if len(seen) == len(vertices):  # a repeated chain stage is reported as such, not as its cycle
+        errs.extend(wf.validate_dag(dag))
     if errs:
-        violations.extend(f"{tag}: {v}" for v in errs)
-        return None
-    if any(v not in functions for v in dag.vertices):
+        violations.extend(f"{tag}: {e}" for e in errs)
         return None
 
+    clients = [n.id for n in topo.clients()] if topo is not None else []
     client = raw.get("client")
-    if client is None and topo is not None:
-        topo_clients = topo.clients()
-        client = topo_clients[0].id if topo_clients else None
-    if not isinstance(client, int) or topo is None or not topo.has_node(client) or topo.node(
-        client
-    ).role != "client":
+    if client is None and clients:
+        client = clients[0]
+    if _int(client) is None or client not in clients:
         violations.append(f"{tag}: client must be the id of a client node")
         return None
 
+    preds, succs = wf.neighbour_maps(dag)
     return AppWorkflow(
         app_id=app_id,
         dag=dag,
         functions=functions,
         client=client,
-        source=wf.dag_source(dag),
-        sink=wf.dag_sink(dag),
-        preds=wf.predecessor_map(dag),
-        succs=wf.successor_map(dag),
+        source=wf.dag_end(preds),
+        sink=wf.dag_end(succs),
+        preds=preds,
+        succs=succs,
     )
 
 
 def _parse_payload(raw: Any, violations: list[str]) -> PayloadSpec:
     if raw is None:
         return PayloadSpec(kind="constant")
-    if not isinstance(raw, dict) or raw.get("kind") not in PAYLOAD_KINDS:
-        violations.append(f"workload.payload.kind must be one of {list(PAYLOAD_KINDS)}")
-        return PayloadSpec(kind="constant")
-    kind = raw["kind"]
+    raw = raw if isinstance(raw, dict) else {}
+    kind = _enum(raw.get("kind"), PAYLOAD_KINDS, "workload.payload.kind", violations)
     if kind == "uniform":
         lo, hi = _num(raw.get("lo")), _num(raw.get("hi"))
-        if lo is None or hi is None or lo < 0 or lo > hi:
-            violations.append("workload.payload uniform requires 0 <= lo <= hi")
-            return PayloadSpec(kind="constant")
-        return PayloadSpec(kind=kind, lo=lo, hi=hi)
-    if kind == "exponential":
+        if lo is not None and hi is not None and 0 <= lo <= hi:
+            return PayloadSpec(kind=kind, lo=lo, hi=hi)
+        violations.append("workload.payload uniform requires 0 <= lo <= hi")
+    elif kind == "exponential":
         mean = _num(raw.get("mean"))
-        if mean is None or mean <= 0:
-            violations.append("workload.payload exponential requires mean > 0")
-            return PayloadSpec(kind="constant")
-        return PayloadSpec(kind=kind, mean=mean)
+        if mean is not None and mean > 0:
+            return PayloadSpec(kind=kind, mean=mean)
+        violations.append("workload.payload exponential requires mean > 0")
     return PayloadSpec(kind="constant")
 
 
@@ -279,11 +306,10 @@ def scenario_from_raw(raw: dict) -> tuple[Scenario | None, list[str]]:
     topo = _parse_topology(raw.get("topology"), violations)
 
     apps: dict[str, AppWorkflow] = {}
-    raw_workflows = raw.get("workflows")
-    if not isinstance(raw_workflows, list) or not raw_workflows:
-        violations.append("workflows must be a non-empty list")
-        raw_workflows = []
-    for wd in raw_workflows:
+    raw_workflows = _list(
+        raw.get("workflows"), "workflows must be a non-empty list", violations, nonempty=True
+    )
+    for wd in raw_workflows or []:
         app = _parse_workflow(wd, topo, violations)
         if app is not None:
             if app.app_id in apps:
@@ -309,58 +335,39 @@ def scenario_from_raw(raw: dict) -> tuple[Scenario | None, list[str]]:
                 else:
                     rates[app_id] = r
             for app_id in apps:
-                if app_id not in (raw_rates or {}):
+                if app_id not in raw_rates:
                     violations.append(f"workload.rates missing app {app_id}")
-            for app_id in raw_rates or {}:
+            for app_id in raw_rates:
                 if apps and app_id not in apps:
                     violations.append(f"workload.rates names unknown app {app_id}")
-        h = _num(workload.get("horizon"))
-        if h is None or h <= 0:
+        horizon = _num(workload.get("horizon"))
+        if horizon is None or horizon <= 0:
             violations.append("workload.horizon must be a finite number > 0")
-        else:
-            horizon = h
         payload = _parse_payload(workload.get("payload"), violations)
-        compute_randomization = bool(workload.get("compute_randomization", False))
+        compute_randomization = workload.get("compute_randomization", False)
+        if not isinstance(compute_randomization, bool):
+            violations.append("workload.compute_randomization must be true or false")
 
-    policy = None
-    try:
-        policy = PolicyKind(raw.get("policy"))
-    except ValueError:
-        violations.append(
-            f"policy must be one of {[p.value for p in PolicyKind]}, got {raw.get('policy')!r}"
-        )
+    policy = _enum(raw.get("policy"), [p.value for p in PolicyKind], "policy", violations)
+    mode = _enum(raw.get("state_mode"), [m.value for m in StateMode], "state_mode", violations)
 
-    mode = None
-    try:
-        mode = StateMode(raw.get("state_mode"))
-    except ValueError:
-        violations.append(
-            f"state_mode must be one of {[m.value for m in StateMode]}, got {raw.get('state_mode')!r}"
-        )
-
-    seed = raw.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= MAX_SEED:
+    seed = _int(raw.get("seed"))
+    if seed is None or not 0 <= seed <= MAX_SEED:
         violations.append("seed must be an unsigned 64-bit integer")
-        seed = 0
 
-    replications = raw.get("replications", 1)
-    if not isinstance(replications, int) or isinstance(replications, bool) or replications < 1:
+    replications = _int(raw.get("replications", 1))
+    if replications is None or replications < 1:
         violations.append("replications must be a positive integer")
-        replications = 1
 
-    candidates: tuple[int, ...] = ()
-    if topo is not None:
-        worker_ids = [n.id for n in topo.workers()]
-        raw_candidates = raw.get("candidates")
-        if raw_candidates is None:
-            candidates = tuple(worker_ids)
-        elif not isinstance(raw_candidates, list) or not raw_candidates:
-            violations.append("candidates must be a non-empty list of worker ids")
-        else:
-            for c in raw_candidates:
-                if c not in worker_ids:
-                    violations.append(f"candidate {c} is not a worker node")
-            candidates = tuple(raw_candidates)
+    worker_ids = [n.id for n in topo.workers()] if topo is not None else []
+    candidates = raw.get("candidates")
+    if candidates is None:
+        candidates = worker_ids
+    elif _list(candidates, "candidates must be a non-empty list of worker ids", violations, nonempty=True):
+        bad = [c for c in candidates if _int(c) is None or c not in worker_ids]
+        violations.extend(f"candidate {c} is not a worker node" for c in bad)
+        if not bad and len(set(candidates)) < len(candidates):
+            violations.append("candidates must be distinct worker ids")
 
     if violations:
         return None, violations
@@ -375,9 +382,9 @@ def scenario_from_raw(raw: dict) -> tuple[Scenario | None, list[str]]:
             horizon=horizon,
             payload=payload,
             compute_randomization=compute_randomization,
-            policy=policy,
-            state_mode=mode,
-            candidates=candidates,
+            policy=PolicyKind(policy),
+            state_mode=StateMode(mode),
+            candidates=tuple(candidates),
             seed=seed,
             replications=replications,
         ),
@@ -408,55 +415,44 @@ def sweep_from_raw(raw: dict, base_dir: Path | None = None) -> tuple[SweepSpec |
         return None, ["sweep.base must be a config object or a path to one"]
 
     fieldname = raw.get("field")
-    if not isinstance(fieldname, str) or not (
-        fieldname in SWEEPABLE_FIELDS or fieldname.startswith("link_rate:")
-    ):
+    base = copy.deepcopy(base)  # each point sets the swept field in place, then builds
+    if fieldname in ("policy", "state_mode"):
+        targets = [(base, fieldname)]
+    elif fieldname == "arrival_rate":
+        workload = base.get("workload")
+        rates = workload.get("rates") if isinstance(workload, dict) else None
+        targets = [(rates, app_id) for app_id in rates] if isinstance(rates, dict) else []
+    elif isinstance(fieldname, str) and fieldname.startswith("link_rate:"):
+        try:
+            a, b = (int(x) for x in fieldname.split(":", 1)[1].split("-"))
+        except ValueError:
+            return None, [f"malformed link_rate field {fieldname!r}"]
+        topo = base.get("topology")
+        links = topo.get("links") if isinstance(topo, dict) else None
+        targets = [
+            (lk, "rate")
+            for lk in (links if isinstance(links, list) else [])
+            if isinstance(lk, dict) and (lk.get("endpoint_a"), lk.get("endpoint_b")) in ((a, b), (b, a))
+        ]
+        if not targets:
+            # scenario validation cannot tell that the swept value went nowhere
+            return None, [f"sweep field {fieldname!r} matches no link"]
+    else:
         return None, [
             f"sweep.field must be one of {list(SWEEPABLE_FIELDS)} or link_rate:<a>-<b>"
         ]
 
-    values = raw.get("values")
-    if not isinstance(values, list) or not values:
-        return None, ["sweep.values must be a non-empty list"]
+    values = _list(raw.get("values"), "sweep.values must be a non-empty list", violations, nonempty=True)
+    if values is None:
+        return None, violations
 
     scenarios = []
     for i, value in enumerate(values):
-        try:
-            point, errs = scenario_from_raw(apply_sweep_value(base, fieldname, value))
-        except ValueError as exc:
-            return None, [str(exc)]
+        for owner, key in targets:
+            owner[key] = value
+        point, errs = scenario_from_raw(base)
         violations.extend(f"sweep value [{i}]={value!r}: {e}" for e in errs)
         scenarios.append(point)
     if violations:
         return None, violations
     return SweepSpec(field=fieldname, values=values, scenarios=scenarios), []
-
-
-def apply_sweep_value(base: dict, fieldname: str, value: Any) -> dict:
-    """Return a copy of the base config with the swept field set to ``value``."""
-    doc = copy.deepcopy(base)
-    if fieldname == "arrival_rate":
-        rates = doc.setdefault("workload", {}).setdefault("rates", {})
-        for app_id in rates:
-            rates[app_id] = value
-    elif fieldname in ("policy", "state_mode"):
-        doc[fieldname] = value
-    elif fieldname.startswith("link_rate:"):
-        spec = fieldname.split(":", 1)[1]
-        try:
-            a, b = (int(x) for x in spec.split("-"))
-        except ValueError:
-            raise ValueError(f"malformed link_rate field {fieldname!r}") from None
-        hit = False
-        for lk in doc.get("topology", {}).get("links", []):
-            pair = {lk.get("endpoint_a"), lk.get("endpoint_b")}
-            if pair == {a, b}:
-                lk["rate"] = value
-                hit = True
-        if not hit:
-            # leave the config untouched; scenario validation will not fail,
-            # so flag the unresolvable path here
-            raise ValueError(f"sweep field {fieldname!r} matches no link")
-    else:
-        raise ValueError(f"unknown sweep field {fieldname!r}")
-    return doc

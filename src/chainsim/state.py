@@ -79,11 +79,6 @@ class StateAccess:
 ZERO_ACCESS = StateAccess(delay=0.0, bytes_moved=0.0)
 
 
-def embedded_payload_overhead(f: "FunctionSpec", mode: StateMode) -> float:
-    """Extra payload bytes on the stage hops into and out of f's executor."""
-    return f.state_size if mode is StateMode.EMBEDDED else 0.0
-
-
 def stage_transfer_bytes(
     data_bytes: float,
     producer: "FunctionSpec | None",
@@ -96,11 +91,12 @@ def stage_transfer_bytes(
     consumer's rides the hop in; entry and delivery transfers have only one
     function-side endpoint.
     """
+    embedded = mode is StateMode.EMBEDDED
     nbytes = data_bytes
     if producer is not None:
-        nbytes += embedded_payload_overhead(producer, mode)
+        nbytes += producer.state_size if embedded else 0.0
     if consumer is not None:
-        nbytes += embedded_payload_overhead(consumer, mode)
+        nbytes += consumer.state_size if embedded else 0.0
     return nbytes
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ROLE_CLIENT = "client"
 ROLE_BROKER = "broker"
@@ -64,18 +64,10 @@ class Topology:
 
     nodes: tuple[NodeSpec, ...]
     links: tuple[LinkSpec, ...]
-    _by_id: dict[int, NodeSpec] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.nodes = tuple(self.nodes)
         self.links = tuple(self.links)
-        self._by_id = {n.id: n for n in self.nodes}
-
-    def node(self, node_id: int) -> NodeSpec:
-        return self._by_id[node_id]
-
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._by_id
 
     def workers(self) -> list[NodeSpec]:
         return sorted((n for n in self.nodes if n.role == ROLE_WORKER), key=lambda n: n.id)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from . import state as state_mod
 from .state import StateMode, StateRegistry
@@ -33,13 +33,6 @@ class FunctionSpec:
     ops_per_byte: float = 0.0
     output_ratio: float = 0.0
     state_size: float = 0.0
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    app_id: str
-    functions: tuple[str, ...]
-    entry_payload: float  # bytes, > 0
 
 
 @dataclass(frozen=True)
@@ -69,49 +62,15 @@ def validate_function(f: FunctionSpec) -> list[str]:
     return violations
 
 
-def validate_chain(c: ChainSpec, functions: Mapping[str, FunctionSpec]) -> list[str]:
-    violations = []
-    if not c.functions:
-        violations.append("chain has no functions")
-    seen: set[str] = set()
-    for fid in c.functions:
-        if fid not in functions:
-            violations.append(f"chain references unknown function {fid}")
-        if fid in seen:
-            violations.append(f"duplicate function {fid} in chain")
-        seen.add(fid)
-    if c.entry_payload <= 0:
-        violations.append("entry_payload must be > 0")
-    return violations
-
-
-def chain_to_dag(c: ChainSpec) -> DagSpec:
-    """Linear DAG: consecutive chain stages become edges."""
-    edges = frozenset(zip(c.functions, c.functions[1:]))
-    return DagSpec(
-        app_id=c.app_id,
-        vertices=frozenset(c.functions),
-        edges=edges,
-        entry_payload=c.entry_payload,
-    )
-
-
-def predecessor_map(d: DagSpec) -> dict[str, tuple[str, ...]]:
-    """Sorted producers of each vertex; edges with an unknown end are ignored."""
+def neighbour_maps(d: DagSpec) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+    """Sorted producers and consumers of each vertex; edges with an unknown end are ignored."""
     preds: dict[str, list[str]] = {v: [] for v in d.vertices}
+    succs: dict[str, list[str]] = {v: [] for v in d.vertices}
     for p, q in sorted(d.edges):
         if p in preds and q in preds:
             preds[q].append(p)
-    return {v: tuple(ps) for v, ps in preds.items()}
-
-
-def successor_map(d: DagSpec) -> dict[str, tuple[str, ...]]:
-    """Sorted consumers of each vertex; edges with an unknown end are ignored."""
-    succs: dict[str, list[str]] = {v: [] for v in d.vertices}
-    for p, q in sorted(d.edges):
-        if p in succs and q in succs:
             succs[p].append(q)
-    return {v: tuple(qs) for v, qs in succs.items()}
+    return {v: tuple(ps) for v, ps in preds.items()}, {v: tuple(qs) for v, qs in succs.items()}
 
 
 def _kahn(preds: Mapping[str, tuple[str, ...]], succs: Mapping[str, tuple[str, ...]]) -> list[str]:
@@ -140,8 +99,7 @@ def validate_dag(d: DagSpec) -> list[str]:
             if end not in d.vertices:
                 violations.append(f"edge ({p},{q}) references unknown vertex {end}")
 
-    preds = predecessor_map(d)
-    succs = successor_map(d)
+    preds, succs = neighbour_maps(d)
     sources = sorted(v for v in d.vertices if not preds[v])
     sinks = sorted(v for v in d.vertices if not succs[v])
     if not sources:
@@ -181,21 +139,19 @@ def _reachable(start: str, nbrs: Mapping[str, tuple[str, ...]]) -> set[str]:
     return seen
 
 
-def dag_source(d: DagSpec) -> str:
-    preds = predecessor_map(d)
-    (src,) = [v for v in sorted(d.vertices) if not preds[v]]
-    return src
+def dag_end(nbrs: Mapping[str, tuple[str, ...]]) -> str:
+    """The one vertex of a valid DAG without neighbours in ``nbrs``.
 
-
-def dag_sink(d: DagSpec) -> str:
-    succs = successor_map(d)
-    (sink,) = [v for v in sorted(d.vertices) if not succs[v]]
-    return sink
+    That is the source given its predecessors from ``neighbour_maps`` and the
+    sink given its successors.
+    """
+    (end,) = [v for v, vs in nbrs.items() if not vs]
+    return end
 
 
 def topo_order(d: DagSpec) -> list[str]:
     """Kahn's algorithm with lowest-id-first tie-breaking."""
-    order = _kahn(predecessor_map(d), successor_map(d))
+    order = _kahn(*neighbour_maps(d))
     if len(order) != len(d.vertices):
         raise ValueError("cycle detected")
     return order
@@ -213,28 +169,20 @@ def stage_io(f: FunctionSpec, input_bytes: float, compute_factor: float = 1.0) -
     return compute_ops, output_bytes
 
 
-def join_payload(incoming_outputs: Iterable[float]) -> float:
-    """Input size at a join vertex: the sum of its predecessors' outputs."""
-    outputs = list(incoming_outputs)
-    if not outputs:
-        raise ValueError("join_payload requires at least one incoming output")
-    total = 0.0
-    for b in outputs:
-        total += b
-    return total
-
-
 def vertex_input_bytes(
     preds: tuple[str, ...], outputs: Mapping[str, float], entry_payload: float
 ) -> float:
-    """Input size of a vertex: entry payload for the source, join of outputs otherwise.
+    """Input size of a vertex: entry payload for the source, else the sum of its inputs.
 
     Predecessors are given sorted; summation order is part of the contract
     so the simulator and the analytic oracle accumulate identically.
     """
     if not preds:
         return entry_payload
-    return join_payload(outputs[p] for p in preds)
+    total = 0.0
+    for p in preds:
+        total += outputs[p]
+    return total
 
 
 def critical_path_time(
@@ -267,12 +215,12 @@ def critical_path_time(
             raise ValueError(f"assignment maps {v} to non-worker node {a[v]}")
 
     entry = d.entry_payload if entry_payload is None else entry_payload
-    preds = predecessor_map(d)
+    preds, succs = neighbour_maps(d)
     reg = registry if registry is not None else StateRegistry()
 
     done: dict[str, float] = {}
     outputs: dict[str, float] = {}
-    for v in topo_order(d):
+    for v in _kahn(preds, succs):
         f = functions[v]
         w = a[v]
         input_bytes = vertex_input_bytes(preds[v], outputs, entry)
@@ -294,7 +242,7 @@ def critical_path_time(
         done[v] = t
         outputs[v] = out_bytes
 
-    sink = dag_sink(d)
+    sink = dag_end(succs)
     f_sink = functions[sink]
     return done[sink] + transfer_delay(
         rt, a[sink], client, state_mod.stage_transfer_bytes(outputs[sink], f_sink, None, mode)

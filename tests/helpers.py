@@ -139,18 +139,15 @@ def enumerate_critical_path(
     from chainsim.state import stage_transfer_bytes
     from chainsim.topology import transfer_delay
     from chainsim.workflow import (
-        dag_sink,
-        dag_source,
-        predecessor_map,
+        dag_end,
+        neighbour_maps,
         stage_io,
-        successor_map,
         topo_order,
         vertex_input_bytes,
     )
 
     entry = dag.entry_payload if entry_payload is None else entry_payload
-    preds = predecessor_map(dag)
-    succs = successor_map(dag)
+    preds, succs = neighbour_maps(dag)
     reg = registry if registry is not None else StateRegistry()
 
     outputs: dict[str, float] = {}
@@ -174,7 +171,7 @@ def enumerate_critical_path(
                 for p in preds[v]
             )
 
-    source, sink = dag_source(dag), dag_sink(dag)
+    source, sink = dag_end(preds), dag_end(succs)
     best = -math.inf
 
     def walk(v: str, t: float) -> None:

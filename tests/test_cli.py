@@ -82,7 +82,15 @@ class TestValidate:
         assert capsys.readouterr().err.splitlines() == [f"error: workflow app: {e}" for e in errors]
 
 
-BAD_NUMBERS = {
+def as_dag(raw):
+    """The workflow's dag object, after turning its chain into the same DAG."""
+    wd = raw["workflows"][0]
+    chain = wd.pop("chain")
+    wd["dag"] = {"vertices": chain, "edges": [list(e) for e in zip(chain, chain[1:])]}
+    return wd["dag"]
+
+
+BAD_VALUES = {
     "cores string": (lambda raw: raw["topology"]["nodes"][1], "cores", "abc"),
     "cores fraction": (lambda raw: raw["topology"]["nodes"][1], "cores", 1.5),
     "cores bool": (lambda raw: raw["topology"]["nodes"][1], "cores", True),
@@ -95,18 +103,36 @@ BAD_NUMBERS = {
     "entry_payload NaN": (lambda raw: raw["workflows"][0], "entry_payload", math.nan),
     "horizon Infinity": (lambda raw: raw["workload"], "horizon", math.inf),
     "arrival rate Infinity": (lambda raw: raw["workload"]["rates"], "app", math.inf),
+    "functions number": (lambda raw: raw["workflows"][0], "functions", 5),
+    "nodes number": (lambda raw: raw["topology"], "nodes", 5),
+    "links null": (lambda raw: raw["topology"], "links", None),
+    "dag vertices number": (as_dag, "vertices", 5),
+    "dag edges number": (as_dag, "edges", 5),
+    "compute_randomization string": (lambda raw: raw["workload"], "compute_randomization", "no"),
+    "node id bool": (lambda raw: raw["topology"]["nodes"][1], "id", True),
+    "link endpoint bool": (lambda raw: raw["topology"]["links"][0], "endpoint_b", True),
+    "client true": (lambda raw: raw["workflows"][0], "client", True),
+    "client false": (lambda raw: raw["workflows"][0], "client", False),
+    "candidate bool": (lambda raw: raw, "candidates", [True, 2]),
 }
 
 
-@pytest.mark.parametrize("case", list(BAD_NUMBERS))
+@pytest.mark.parametrize("case", list(BAD_VALUES))
 def test_bad_number_is_a_config_error(case, tmp_path, capsys):
-    owner, key, value = BAD_NUMBERS[case]
+    owner, key, value = BAD_VALUES[case]
     raw = chain_scenario_raw()
     owner(raw)[key] = value
     assert main(["validate", str(write_config(tmp_path, raw))]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_duplicate_candidates_are_a_config_error(tmp_path, capsys):
+    raw = chain_scenario_raw()
+    raw["candidates"] = [2, 2, 1]
+    assert main(["validate", str(write_config(tmp_path, raw))]) == 1
+    assert capsys.readouterr().err == "error: candidates must be distinct worker ids\n"
 
 
 class TestRun:
@@ -214,6 +240,22 @@ class TestSweep:
         }
         path = write_config(tmp_path, sweep, "sweep.json")
         assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize(
+        "field, owner, key, value",
+        [
+            ("link_rate:0-1", lambda raw: raw["topology"], "links", None),
+            ("link_rate:0-1", lambda raw: raw["topology"]["links"], 0, 5),
+            ("arrival_rate", lambda raw: raw, "workload", [1]),
+            ("arrival_rate", lambda raw: raw["workload"], "rates", [1]),
+        ],
+    )
+    def test_bad_base_shape_exit_one(self, field, owner, key, value, tmp_path, capsys):
+        base = chain_scenario_raw()
+        owner(base)[key] = value
+        path = write_config(tmp_path, {"base": base, "field": field, "values": [1e6]}, "sweep.json")
+        assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_invalid_sweep_value_exit_one(self, tmp_path):
         sweep = {

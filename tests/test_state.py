@@ -9,7 +9,6 @@ from chainsim.state import (
     StateEntry,
     StateMode,
     StateRegistry,
-    embedded_payload_overhead,
     remote_state_access,
     stage_transfer_bytes,
 )
@@ -34,14 +33,20 @@ def stateful(size=1000.0):
 
 class TestEmbeddedOverhead:
     def test_stateless_is_free(self):
-        assert embedded_payload_overhead(stateful(0.0), StateMode.EMBEDDED) == 0.0
+        f = stateful(0.0)
+        assert stage_transfer_bytes(0.0, f, None, StateMode.EMBEDDED) == 0.0
+        assert stage_transfer_bytes(0.0, None, f, StateMode.EMBEDDED) == 0.0
 
     def test_embedded_carries_state_size(self):
-        assert embedded_payload_overhead(stateful(4096.0), StateMode.EMBEDDED) == 4096.0
+        f = stateful(4096.0)
+        assert stage_transfer_bytes(0.0, f, None, StateMode.EMBEDDED) == 4096.0
+        assert stage_transfer_bytes(0.0, None, f, StateMode.EMBEDDED) == 4096.0
 
     def test_remote_modes_add_nothing(self):
-        assert embedded_payload_overhead(stateful(4096.0), StateMode.REMOTE_FIXED) == 0.0
-        assert embedded_payload_overhead(stateful(4096.0), StateMode.REMOTE_MIGRATE) == 0.0
+        f = stateful(4096.0)
+        for mode in (StateMode.REMOTE_FIXED, StateMode.REMOTE_MIGRATE):
+            assert stage_transfer_bytes(0.0, f, None, mode) == 0.0
+            assert stage_transfer_bytes(0.0, None, f, mode) == 0.0
 
     def test_stage_transfer_bytes_adds_both_sides(self):
         p = FunctionSpec("p", fixed_ops=1.0, state_size=100.0)

@@ -4,22 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainsim.config import scenario_from_raw
 from chainsim.state import StateMode, StateRegistry
 from chainsim.topology import build_routes, transfer_delay
 from chainsim.workflow import (
-    ChainSpec,
     DagSpec,
     FunctionSpec,
-    chain_to_dag,
     critical_path_time,
-    join_payload,
     stage_io,
     topo_order,
     validate_dag,
     vertex_input_bytes,
 )
 
-from helpers import enumerate_critical_path, make_topology, random_dag
+from helpers import chain_scenario_raw, enumerate_critical_path, make_topology, random_dag
 
 
 def diamond(entry=1000.0):
@@ -31,19 +29,34 @@ def diamond(entry=1000.0):
     )
 
 
+def parsed_chain(ids, entry):
+    """The DAG a config's ``chain`` of ``ids`` parses to."""
+    raw = chain_scenario_raw(chain_len=len(ids), entry_payload=entry)
+    wd = raw["workflows"][0]
+    for fd, fid in zip(wd["functions"], ids):
+        fd["id"] = fid
+    wd["chain"] = list(ids)
+    scenario, errs = scenario_from_raw(raw)
+    assert errs == []
+    return scenario.apps["app"].dag
+
+
+def linear_dag(ids, entry):
+    return DagSpec("app", frozenset(ids), frozenset(zip(ids, ids[1:])), entry)
+
+
 class TestChainToDag:
     def test_singleton(self):
-        d = chain_to_dag(ChainSpec("app", ("f1",), 100.0))
+        d = parsed_chain(("f1",), 100.0)
         assert d.vertices == {"f1"} and d.edges == frozenset()
 
     def test_three_stage_chain(self):
-        d = chain_to_dag(ChainSpec("app", ("f1", "f2", "f3"), 100.0))
+        d = parsed_chain(("f1", "f2", "f3"), 100.0)
         assert d.edges == {("f1", "f2"), ("f2", "f3")}
 
     @given(st.integers(min_value=1, max_value=8), st.floats(min_value=1, max_value=1e6))
     def test_round_trip_validates(self, n, payload):
-        chain = ChainSpec("app", tuple(f"f{i}" for i in range(n)), payload)
-        assert validate_dag(chain_to_dag(chain)) == []
+        assert validate_dag(parsed_chain(tuple(f"f{i}" for i in range(n)), payload)) == []
 
 
 class TestValidateDag:
@@ -87,17 +100,13 @@ class TestStageIo:
 
 class TestJoinPayload:
     def test_single(self):
-        assert join_payload([100.0]) == 100.0
+        assert vertex_input_bytes(("a",), {"a": 100.0}, 999.0) == 100.0
 
     def test_sum(self):
-        assert join_payload([100.0, 50.0]) == 150.0
+        assert vertex_input_bytes(("a", "b"), {"a": 100.0, "b": 50.0}, 999.0) == 150.0
 
     def test_zeros(self):
-        assert join_payload([0.0, 0.0, 0.0]) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            join_payload([])
+        assert vertex_input_bytes(("a", "b", "c"), {"a": 0.0, "b": 0.0, "c": 0.0}, 999.0) == 0.0
 
 
 def two_worker_network():
@@ -112,7 +121,7 @@ class TestCriticalPathTime:
     def test_single_function_closed_form(self):
         t, rt, workers = two_worker_network()
         f = FunctionSpec("f1", fixed_ops=1000.0, ops_per_byte=0.0, output_ratio=0.5)
-        d = chain_to_dag(ChainSpec("app", ("f1",), 1000.0))
+        d = linear_dag(("f1",), 1000.0)
         got = critical_path_time(
             d, {"f1": 1}, rt, None, StateMode.REMOTE_FIXED,
             functions={"f1": f}, workers=workers, client=0,
@@ -151,9 +160,8 @@ class TestCriticalPathTime:
             f"f{k}": FunctionSpec(f"f{k}", fixed_ops=1000.0 * (k + 1), ops_per_byte=0.5, output_ratio=0.8)
             for k in range(4)
         }
-        chain = ChainSpec("app", tuple(fns), 2000.0)
         a = {"f0": 1, "f1": 2, "f2": 1, "f3": 2}
-        d = chain_to_dag(chain)
+        d = linear_dag(tuple(fns), 2000.0)
         got = critical_path_time(
             d, a, rt, None, StateMode.REMOTE_FIXED, functions=fns, workers=workers, client=0
         )
@@ -176,7 +184,7 @@ class TestCriticalPathTime:
     def test_missing_assignment_rejected(self):
         t, rt, workers = two_worker_network()
         f = FunctionSpec("f1", fixed_ops=1000.0, output_ratio=1.0)
-        d = chain_to_dag(ChainSpec("app", ("f1",), 1000.0))
+        d = linear_dag(("f1",), 1000.0)
         with pytest.raises(ValueError, match="assignment"):
             critical_path_time(
                 d, {}, rt, None, StateMode.EMBEDDED, functions={"f1": f}, workers=workers, client=0
