@@ -257,6 +257,14 @@ class TestSweep:
         assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["arrival_rate", "policy", "link_rate:0-1"])
+    def test_leaves_the_callers_base_unchanged(self, field):
+        base = chain_scenario_raw()
+        value = "random" if field == "policy" else 2e6
+        _, errs = sweep_from_raw({"base": base, "field": field, "values": [value]})
+        assert errs == []
+        assert base == chain_scenario_raw()
+
     def test_invalid_sweep_value_exit_one(self, tmp_path):
         sweep = {
             "base": chain_scenario_raw(),
