@@ -37,8 +37,9 @@ VALID = [
     "diamond_dag.json",
     "mm1.json",
     "multi_app.json",
+    "edge_mesh.json",
 ]
-VARIED = ["two_worker_chain.json", "diamond_dag.json"]
+VARIED = ["two_worker_chain.json", "diamond_dag.json", "edge_mesh.json"]
 
 
 def _cases() -> dict[str, tuple[str, str, dict | None, list[str]]]:
