@@ -251,8 +251,9 @@ def _parse_workflow(raw: Any, topo: Topology | None, violations: list[str]) -> A
             errs.append(f"duplicate function {v} in chain")
         seen.add(v)
     dag = wf.DagSpec(app_id, frozenset(vertices), frozenset(edges), entry_payload)
+    preds, succs = maps = wf.neighbour_maps(dag)
     if len(seen) == len(vertices):  # a repeated chain stage is reported as such, not as its cycle
-        errs.extend(wf.validate_dag(dag))
+        errs.extend(wf.validate_dag(dag, maps))
     if errs:
         violations.extend(f"{tag}: {e}" for e in errs)
         return None
@@ -265,7 +266,6 @@ def _parse_workflow(raw: Any, topo: Topology | None, violations: list[str]) -> A
         violations.append(f"{tag}: client must be the id of a client node")
         return None
 
-    preds, succs = wf.neighbour_maps(dag)
     return AppWorkflow(
         app_id=app_id,
         dag=dag,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import state as state_mod
 from .state import StateMode, StateRegistry
-from .topology import NodeSpec, RouteTable, transfer_delay
+from .topology import NodeSpec, RouteTable
 from .workflow import FunctionSpec, stage_io
 
 
@@ -82,15 +82,39 @@ def estimate_completion(
     a commitment) + backlog drain + stage compute. In-flight network
     transfers toward ``w`` are not visible to the dispatcher and are ignored.
     """
-    spec = ctx.workers[w]
-    est = transfer_delay(
-        ctx.routes, ctx.payload_location, w, state_mod.stage_transfer_bytes(input_bytes, None, f, mode)
-    )
-    est += state_mod.remote_state_access(mode, ctx.registry, ctx.app_id, f, w, ctx.routes).delay
+    return _estimates(ctx, f, (w,), input_bytes, mode)[0]
+
+
+def _estimates(
+    ctx: DispatchContext,
+    f: FunctionSpec,
+    targets: tuple[int, ...],
+    input_bytes: float,
+    mode: StateMode,
+) -> list[float]:
+    """``estimate_completion`` at each of ``targets``, in one pass.
+
+    The wire size, compute demand and state host are found once; the input
+    transfer is priced once per distinct hop sequence from the payload's
+    location. Each estimate adds its terms in the order
+    ``xfer + state + backlog / (cores * speed) + ops / speed``.
+    """
     compute_ops, _ = stage_io(f, input_bytes)
-    est += ctx.backlog.get(w, 0.0) / (spec.cores * spec.core_speed)
-    est += compute_ops / spec.core_speed
-    return est
+    nbytes = state_mod.stage_transfer_bytes(input_bytes, None, f, mode)
+    classes, class_of = ctx.routes.hop_classes(ctx.payload_location, targets)
+    class_xfer = [route.delay(nbytes) for route in classes]
+    state = state_mod.state_delays(mode, ctx.registry, ctx.app_id, f, targets, ctx.routes)
+    backlog, workers = ctx.backlog, ctx.workers
+    estimates = []
+    for w, c, state_delay in zip(targets, class_of, state):
+        spec = workers[w]
+        estimates.append(
+            class_xfer[c]
+            + state_delay
+            + backlog.get(w, 0.0) / (spec.cores * spec.core_speed)
+            + compute_ops / spec.core_speed
+        )
+    return estimates
 
 
 def choose_worker(
@@ -122,7 +146,7 @@ def choose_worker(
         return _least_loaded(ctx)
 
     if policy is PolicyKind.MIN_LATENCY_ESTIMATE:
-        return min(candidates, key=lambda w: (estimate_completion(ctx, f, w, input_bytes, mode), w))
+        return min(zip(_estimates(ctx, f, candidates, input_bytes, mode), candidates))[1]
 
     raise ValueError(f"unknown policy {policy}")
 

@@ -116,16 +116,49 @@ def remote_state_access(
     host and remote_migrate pays a single transfer to the executor. Pure:
     the caller records a migration with ``StateRegistry.move``.
     """
-    if not mode.is_remote or f.state_size == 0:
-        return ZERO_ACCESS
-    entry = reg.get(app_id, f.id)
-    if entry is None or entry.host == exec_node:
+    host = _priced_host(mode, reg, app_id, f)
+    if host is None or host == exec_node:
         return ZERO_ACCESS
     size = f.state_size
+    delay = _access_delay(mode, host, exec_node, size, rt)
     if mode is StateMode.REMOTE_FIXED:
-        delay = transfer_delay(rt, entry.host, exec_node, size) + transfer_delay(
-            rt, exec_node, entry.host, size
-        )
         return StateAccess(delay=delay, bytes_moved=2 * size)
-    delay = transfer_delay(rt, entry.host, exec_node, size)
     return StateAccess(delay=delay, bytes_moved=size, migration=True)
+
+
+def state_delays(
+    mode: StateMode,
+    reg: StateRegistry,
+    app_id: str,
+    f: "FunctionSpec",
+    targets: tuple[int, ...],
+    rt: RouteTable,
+) -> tuple[float, ...]:
+    """``remote_state_access(...).delay`` at each of ``targets``, bit for bit.
+
+    Routes and state sizes are static, so the vector is memoized on ``rt``
+    per ``(host, targets, state_size, mode)``.
+    """
+    host = _priced_host(mode, reg, app_id, f)
+    if host is None:
+        return (0.0,) * len(targets)
+    size = f.state_size
+    return rt.memo(
+        ("state", host, targets, size, mode),
+        lambda: tuple(0.0 if w == host else _access_delay(mode, host, w, size, rt) for w in targets),
+    )
+
+
+def _priced_host(mode: StateMode, reg: StateRegistry, app_id: str, f: "FunctionSpec") -> int | None:
+    """Host of f's state when an access away from it has a cost, else None."""
+    if not mode.is_remote or f.state_size == 0:
+        return None
+    entry = reg.get(app_id, f.id)
+    return None if entry is None else entry.host
+
+
+def _access_delay(mode: StateMode, host: int, exec_node: int, size: float, rt: RouteTable) -> float:
+    delay = transfer_delay(rt, host, exec_node, size)
+    if mode is StateMode.REMOTE_FIXED:
+        delay += transfer_delay(rt, exec_node, host, size)
+    return delay

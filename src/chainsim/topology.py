@@ -94,10 +94,46 @@ class Route:
 
 
 class RouteTable:
-    """All-pairs routes for a validated topology."""
+    """All-pairs routes for a validated topology.
+
+    Quantities fixed by the routes alone are memoized on the table as they
+    are first asked for (``memo``), so a run fills them lazily and every
+    value is computed once, by the same expression as without the memo.
+    """
 
     def __init__(self, routes: dict[tuple[int, int], Route]):
         self._routes = routes
+        self._memo: dict[tuple, object] = {}
+
+    def memo(self, key: tuple, build):
+        """``build()``, computed on the first call with ``key`` and reused after."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
+
+    def hop_classes(self, src: int, targets: tuple[int, ...]) -> tuple[tuple[Route, ...], tuple[int, ...]]:
+        """Routes from ``src`` to ``targets`` grouped by equal ``hops``.
+
+        Returns one route per distinct hop sequence, in order of first
+        appearance, and each target's index into them. Routes with equal
+        hops have bit-identical delays for any size, so a caller prices
+        each class once. Memoized per ``(src, targets)``.
+        """
+        return self.memo(("hops", src, targets), lambda: self._group_by_hops(src, targets))
+
+    def _group_by_hops(self, src: int, targets: tuple[int, ...]) -> tuple[tuple[Route, ...], tuple[int, ...]]:
+        index: dict[tuple[tuple[float, float], ...], int] = {}
+        classes: list[Route] = []
+        class_of: list[int] = []
+        for dst in targets:
+            route = self.route(src, dst)
+            if route.hops not in index:
+                index[route.hops] = len(classes)
+                classes.append(route)
+            class_of.append(index[route.hops])
+        return tuple(classes), tuple(class_of)
 
     def route(self, src: int, dst: int) -> Route:
         try:

@@ -62,7 +62,11 @@ def validate_function(f: FunctionSpec) -> list[str]:
     return violations
 
 
-def neighbour_maps(d: DagSpec) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+# (predecessors, successors) of each vertex, as ``neighbour_maps`` derives them.
+Neighbours = tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]
+
+
+def neighbour_maps(d: DagSpec) -> Neighbours:
     """Sorted producers and consumers of each vertex; edges with an unknown end are ignored."""
     preds: dict[str, list[str]] = {v: [] for v in d.vertices}
     succs: dict[str, list[str]] = {v: [] for v in d.vertices}
@@ -89,8 +93,11 @@ def _kahn(preds: Mapping[str, tuple[str, ...]], succs: Mapping[str, tuple[str, .
     return order
 
 
-def validate_dag(d: DagSpec) -> list[str]:
-    """Structural validation; empty result iff the DAG is well formed."""
+def validate_dag(d: DagSpec, maps: Neighbours | None = None) -> list[str]:
+    """Structural validation; empty result iff the DAG is well formed.
+
+    ``maps`` is ``neighbour_maps(d)`` when the caller has derived it already.
+    """
     violations = []
     if not d.vertices:
         return ["dag has no vertices"]
@@ -99,7 +106,7 @@ def validate_dag(d: DagSpec) -> list[str]:
             if end not in d.vertices:
                 violations.append(f"edge ({p},{q}) references unknown vertex {end}")
 
-    preds, succs = neighbour_maps(d)
+    preds, succs = neighbour_maps(d) if maps is None else maps
     sources = sorted(v for v in d.vertices if not preds[v])
     sinks = sorted(v for v in d.vertices if not succs[v])
     if not sources:
@@ -205,7 +212,8 @@ def critical_path_time(
     vertex computes without queueing. Longest-path dynamic programming in
     topological order; ties in the max leave the result unchanged.
     """
-    violations = validate_dag(d)
+    preds, succs = maps = neighbour_maps(d)
+    violations = validate_dag(d, maps)
     if violations:
         raise ValueError("invalid dag: " + "; ".join(violations))
     for v in sorted(d.vertices):
@@ -215,7 +223,6 @@ def critical_path_time(
             raise ValueError(f"assignment maps {v} to non-worker node {a[v]}")
 
     entry = d.entry_payload if entry_payload is None else entry_payload
-    preds, succs = neighbour_maps(d)
     reg = registry if registry is not None else StateRegistry()
 
     done: dict[str, float] = {}

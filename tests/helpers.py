@@ -197,6 +197,33 @@ def enumerate_critical_path(
     return best
 
 
+# -- dispatch -----------------------------------------------------------------
+
+
+def reference_estimate(ctx, f, w, input_bytes, mode) -> float:
+    """``min_latency_estimate``'s score of worker ``w``, term by term from first principles.
+
+    One ``transfer_delay`` and one ``remote_state_access`` per worker, with
+    the terms added in the library's stated order.
+    """
+    from chainsim.state import stage_transfer_bytes
+    from chainsim.topology import transfer_delay
+    from chainsim.workflow import stage_io
+
+    spec = ctx.workers[w]
+    est = transfer_delay(ctx.routes, ctx.payload_location, w, stage_transfer_bytes(input_bytes, None, f, mode))
+    est += remote_state_access(mode, ctx.registry, ctx.app_id, f, w, ctx.routes).delay
+    compute_ops, _ = stage_io(f, input_bytes)
+    est += ctx.backlog.get(w, 0.0) / (spec.cores * spec.core_speed)
+    est += compute_ops / spec.core_speed
+    return est
+
+
+def reference_choice(ctx, f, input_bytes, mode) -> int:
+    """The candidate with the least reference estimate; ties go to the lowest id."""
+    return min((reference_estimate(ctx, f, w, input_bytes, mode), w) for w in ctx.candidate_workers)[1]
+
+
 # -- scenario documents -------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from chainsim.dispatch import (
     DispatchContext,
     PolicyKind,
     RrState,
+    _estimates,
     choose_worker,
     estimate_completion,
 )
@@ -16,7 +17,7 @@ from chainsim.state import StateMode, StateRegistry
 from chainsim.topology import LinkSpec, NodeSpec, Topology, build_routes
 from chainsim.workflow import FunctionSpec
 
-from helpers import make_topology
+from helpers import make_topology, reference_choice, reference_estimate
 
 
 def star_network(n_workers=3, core_speed=1e6, cores=1):
@@ -224,3 +225,72 @@ class TestPolicyProperties:
         sigma = (n * p * (1 - p)) ** 0.5
         for w, c in counts.items():
             assert abs(c - n * p) <= 3 * sigma, (w, c)
+
+
+def random_mesh(rng, tie):
+    """Client 0 and brokers in a full mesh, workers behind brokers, from few link kinds.
+
+    Routes from one source share hop sequences, and differ in rate where
+    their hop counts agree. With ``tie`` every worker is the same and hangs
+    off broker 1 over the same link, so equal estimates are certain.
+    """
+    n_brokers = rng.randint(1, 3)
+    brokers = list(range(1, n_brokers + 1))
+    nodes = [(0, "client")] + [(b, "broker") for b in brokers]
+    links = [(0, b, 0.002, rng.choice([1e8, 2e7])) for b in brokers]
+    links += [(a, b, 0.001, rng.choice([1e8, 5e7])) for i, a in enumerate(brokers) for b in brokers[i + 1:]]
+    workers = list(range(n_brokers + 1, n_brokers + 1 + rng.randint(2, 8)))
+    for w in workers:
+        if tie:
+            nodes.append((w, "worker", 2, 1e6))
+            links.append((1, w, 0.0005, 1e6))
+        else:
+            nodes.append((w, "worker", rng.randint(1, 3), rng.choice([1e6, 2e6])))
+            links.append((rng.choice(brokers), w, rng.choice([0.0005, 0.001]), rng.choice([1e6, 5e6])))
+    return make_topology(nodes, links)
+
+
+class TestScoresMatchReference:
+    """The one-pass scorer against one ``transfer_delay`` and one state access per worker."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    def test_estimates_and_choice_bit_identical(self, seed, tie):
+        rng = random.Random(seed)
+        t = random_mesh(rng, tie)
+        rt = build_routes(t)
+        workers = {n.id: n for n in t.workers()}
+        candidates = rng.sample(sorted(workers), rng.randint(2 if tie else 1, len(workers)))
+        outside = [w for w in workers if w not in candidates]
+        # one route table for every host and mode, so a memo keyed too coarsely shows
+        hosts = [None] + outside[:1] + ([] if tie else [rng.choice(candidates)])
+        sources = [0] if tie else [0, rng.choice(candidates), rng.choice(sorted(workers))]
+        f = FunctionSpec(
+            "f",
+            fixed_ops=rng.choice([0.0, 5000.0]),
+            ops_per_byte=rng.choice([0.5, 2.0]),
+            state_size=rng.choice([0.0, 1000.0, 20000.0]),
+        )
+        for mode in StateMode:
+            for host in hosts:
+                for src in sources:
+                    reg = StateRegistry()
+                    if host is not None:
+                        reg.seed("app", "f", host=host, state_size=f.state_size)
+                    if tie:
+                        backlog = {w: 500.0 for w in candidates}
+                    else:
+                        backlog = {w: rng.choice([0.0, 500.0, 2000.0]) for w in candidates if rng.random() < 0.8}
+                    ctx = make_ctx(t, rt, backlog=backlog, payload_location=src, registry=reg,
+                                   candidates=candidates)
+                    input_bytes = rng.choice([0.0, 1000.0, 12345.6])
+                    expected = [reference_estimate(ctx, f, w, input_bytes, mode).hex() for w in candidates]
+                    assert [x.hex() for x in _estimates(ctx, f, tuple(candidates), input_bytes, mode)] == expected
+                    assert [
+                        estimate_completion(ctx, f, w, input_bytes, mode).hex() for w in candidates
+                    ] == expected
+                    got = choose_worker(PolicyKind.MIN_LATENCY_ESTIMATE, ctx, RrState(), f, input_bytes, mode)
+                    assert got == reference_choice(ctx, f, input_bytes, mode)
+                    if tie:
+                        assert len(set(expected)) == 1
+                        assert got == min(candidates)

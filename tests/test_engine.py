@@ -1,21 +1,24 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainsim import engine, metrics
-from chainsim.config import scenario_from_raw
+from chainsim.config import load_json, scenario_from_raw
+from chainsim.dispatch import PolicyKind
 from chainsim.state import StateMode, StateRegistry
 from chainsim.topology import NodeSpec
 from chainsim.workflow import critical_path_time
 
-from helpers import chain_scenario_raw, random_chain_scenario_raw, random_dag_scenario_raw
+from helpers import chain_scenario_raw, random_chain_scenario_raw, random_dag_scenario_raw, reference_choice
 
 ALL_POLICIES = ["random", "round_robin", "least_loaded", "state_local", "min_latency_estimate"]
 ALL_MODES = ["embedded", "remote_fixed", "remote_migrate"]
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def build(raw, explicit=None):
@@ -337,6 +340,27 @@ class TestWorkerRuntime:
         assert max(s.queue_wait_s for inv in fast.invocations for s in inv.stages.values()) > 0.1
         monkeypatch.setattr(engine.WorkerRuntime, "backlog_ops", rescan_backlog)
         assert run_one(raw) == fast
+
+
+class TestMinLatencyAgainstReference:
+    @pytest.mark.parametrize("mode", ["remote_migrate", "remote_fixed", "embedded"])
+    def test_logs_equal_reference_chooser(self, mode, monkeypatch):
+        # edge_mesh: 12 workers behind 3 brokers over two edge rates, so
+        # candidates share hop sequences; migrations move the state host
+        raw = load_json(CONFIGS / "edge_mesh.json")
+        raw["state_mode"] = mode
+        sc = build(raw)
+
+        def reference_chooser(policy, ctx, rr, f, input_bytes, state_mode):
+            assert policy is PolicyKind.MIN_LATENCY_ESTIMATE
+            return reference_choice(ctx, f, input_bytes, state_mode)
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "choose_worker", reference_chooser)
+            expected = engine.run(sc)
+        assert expected.total_migrations > 0 or mode != "remote_migrate"
+        assert engine.run(sc) == expected  # the route table's memo fills
+        assert engine.run(sc) == expected  # and is reused by the next run
 
 
 class TestEngineErrors:

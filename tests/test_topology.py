@@ -1,10 +1,12 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainsim.config import load_json, scenario_from_raw
 from chainsim.topology import (
     LinkSpec,
     NodeSpec,
@@ -15,6 +17,8 @@ from chainsim.topology import (
 )
 
 from helpers import brute_force_routes, make_topology, random_topology
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def minimal_topology():
@@ -199,3 +203,31 @@ class TestRoutingProperties:
                     lhs = rt.route(a, c).propagation
                     rhs = rt.route(a, b).propagation + rt.route(b, c).propagation
                     assert lhs <= rhs + 1e-12
+
+
+class TestHopClasses:
+    def test_edge_mesh_classes(self):
+        # edge_mesh: workers 4..15 behind brokers 1..3, edge rates alternating 12.5 and 2.5 MB/s
+        sc, errs = scenario_from_raw(load_json(CONFIGS / "edge_mesh.json"))
+        assert not errs
+        workers = tuple(range(4, 16))
+        _, from_client = sc.routes.hop_classes(0, workers)
+        assert from_client == (0, 1) * 6
+        # from worker 4: itself, fast and slow peers at broker 1, fast and slow workers elsewhere
+        _, from_worker = sc.routes.hop_classes(4, workers)
+        assert from_worker == (0, 1, 2, 1) + (3, 4) * 4
+
+    @settings(max_examples=60)
+    @given(topologies(), st.floats(min_value=0, max_value=1e8))
+    def test_class_delay_is_each_routes_delay(self, t, nbytes):
+        rt = build_routes(t)
+        ids = [n.id for n in t.nodes]
+        targets = tuple(random.Random(len(ids)).sample(ids, len(ids)))
+        for src in ids:
+            classes, class_of = rt.hop_classes(src, targets)
+            assert len({r.hops for r in classes}) == len(classes)
+            assert list(dict.fromkeys(class_of)) == list(range(len(classes)))  # first-appearance order
+            for dst, c in zip(targets, class_of):
+                assert classes[c].hops == rt.route(src, dst).hops
+                assert classes[c].delay(nbytes).hex() == transfer_delay(rt, src, dst, nbytes).hex()
+            assert rt.hop_classes(src, targets) is rt.hop_classes(src, targets)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainsim import workflow as wf
 from chainsim.config import scenario_from_raw
 from chainsim.state import StateMode, StateRegistry
 from chainsim.topology import build_routes, transfer_delay
@@ -78,6 +79,18 @@ class TestValidateDag:
     def test_unknown_edge_endpoint(self):
         d = DagSpec("app", frozenset({"f1", "f2"}), frozenset({("f1", "f2"), ("f1", "f9")}), 1.0)
         assert "edge (f1,f9) references unknown vertex f9" in validate_dag(d)
+
+    def test_app_build_derives_neighbours_once(self, monkeypatch):
+        calls = []
+
+        def counting(d):
+            calls.append(d.app_id)
+            return derive(d)
+
+        derive = wf.neighbour_maps
+        monkeypatch.setattr(wf, "neighbour_maps", counting)
+        _, errs = scenario_from_raw(chain_scenario_raw(chain_len=3))
+        assert errs == [] and calls == ["app"]
 
     def test_bad_entry_payload(self):
         d = DagSpec("app", frozenset({"f1"}), frozenset(), 0.0)
