@@ -343,7 +343,7 @@ class TestWorkerRuntime:
 
 
 class TestMinLatencyAgainstReference:
-    @pytest.mark.parametrize("mode", ["remote_migrate", "remote_fixed", "embedded"])
+    @pytest.mark.parametrize("mode", ALL_MODES)
     def test_logs_equal_reference_chooser(self, mode, monkeypatch):
         # edge_mesh: 12 workers behind 3 brokers over two edge rates, so
         # candidates share hop sequences; migrations move the state host
