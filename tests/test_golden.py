@@ -39,7 +39,7 @@ VALID = [
     "multi_app.json",
     "edge_mesh.json",
 ]
-VARIED = ["two_worker_chain.json", "diamond_dag.json", "edge_mesh.json"]
+VARIED = ["two_worker_chain.json", "diamond_dag.json", "edge_mesh.json", "multi_app.json"]
 
 
 def _cases() -> dict[str, tuple[str, str, dict | None, list[str]]]:
