@@ -43,6 +43,11 @@ class DispatchContext:
     of each busy core. Policies outside ``BACKLOG_POLICIES`` (``random`` and
     ``round_robin``) receive an empty mapping. The registry is read-only here;
     the rng stream is policy-private.
+
+    The engine builds one context per run and mutates it between decisions
+    (``app_id``, ``payload_location`` and the values of ``backlog``), so a
+    policy must not keep the context or its ``backlog`` mapping past the
+    call. ``workers`` is fixed once the context is built.
     """
 
     app_id: str
@@ -53,6 +58,11 @@ class DispatchContext:
     payload_location: int
     rng: np.random.Generator
     workers: Mapping[int, NodeSpec]
+    # worker id -> (cores * core_speed, core_speed), derived once from ``workers``
+    speeds: dict[int, tuple[float, float]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.speeds = {w: (spec.cores * spec.core_speed, spec.core_speed) for w, spec in self.workers.items()}
 
 
 @dataclass
@@ -104,16 +114,11 @@ def _estimates(
     classes, class_of = ctx.routes.hop_classes(ctx.payload_location, targets)
     class_xfer = [route.delay(nbytes) for route in classes]
     state = state_mod.state_delays(mode, ctx.registry, ctx.app_id, f, targets, ctx.routes)
-    backlog, workers = ctx.backlog, ctx.workers
+    backlog, speeds = ctx.backlog, ctx.speeds
     estimates = []
     for w, c, state_delay in zip(targets, class_of, state):
-        spec = workers[w]
-        estimates.append(
-            class_xfer[c]
-            + state_delay
-            + backlog.get(w, 0.0) / (spec.cores * spec.core_speed)
-            + compute_ops / spec.core_speed
-        )
+        capacity, speed = speeds[w]
+        estimates.append(class_xfer[c] + state_delay + backlog.get(w, 0.0) / capacity + compute_ops / speed)
     return estimates
 
 

@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulator for chain/DAG invocations.
 
-Events are processed in (time, seq) order, seq being creation order, which
-totally orders simultaneous events. Arrivals are injected in [0, horizon);
+Events are ``(time, seq, kind, data)`` tuples processed in (time, seq)
+order, seq being creation order, which totally orders simultaneous events. Arrivals are injected in [0, horizon);
 in-flight work drains, so a run terminates exactly when the event queue is
 empty. Given a scenario (including seed) the produced metrics are a pure
 function of the inputs.
@@ -14,7 +14,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
-from typing import NamedTuple
 
 from . import state as state_mod
 from . import workload as wl
@@ -29,13 +28,6 @@ STAGE_READY = 1
 EXEC_START = 2
 EXEC_DONE = 3
 DELIVERED = 4
-
-
-class Event(NamedTuple):
-    time: float
-    seq: int
-    kind: int
-    data: tuple
 
 
 class EngineError(RuntimeError):
@@ -169,29 +161,45 @@ class _Run:
         self.apps = scenario.apps
         self.routes = scenario.routes
         self.mode = scenario.state_mode
+        self.remote = scenario.state_mode.is_remote
         self.policy = scenario.policy
-        self.reads_backlog = scenario.policy in BACKLOG_POLICIES
-        self.worker_specs = {n.id: n for n in scenario.topology.workers()}
-        self.workers = {wid: WorkerRuntime(spec) for wid, spec in sorted(self.worker_specs.items())}
+        worker_specs = {n.id: n for n in scenario.topology.workers()}
+        self.workers = {wid: WorkerRuntime(spec) for wid, spec in sorted(worker_specs.items())}
         self.registry = StateRegistry()
         self.rr = RrState()
-        self.policy_rng = wl.substream(seed, wl.STREAM_POLICY)
-        self.heap: list[Event] = []
+        # One context serves every decision of the run: each dispatch sets the
+        # app, the payload's node and, for policies that read it, the backlog.
+        self.ctx = DispatchContext(
+            app_id="",
+            candidate_workers=scenario.candidates,
+            backlog={},
+            registry=self.registry,
+            routes=self.routes,
+            payload_location=-1,
+            rng=wl.substream(seed, wl.STREAM_POLICY),
+            workers=worker_specs,
+        )
+        self.backlog_runtimes = (
+            tuple((w, self.workers[w]) for w in scenario.candidates)
+            if scenario.policy in BACKLOG_POLICIES
+            else ()
+        )
+        self.heap: list[tuple[float, int, int, tuple]] = []  # (time, seq, kind, data)
         self.seq = count()
         self.invocations: dict[int, InvocationRecord] = {}
         self.link_bytes: dict[tuple[int, int], float] = {
             link.pair: 0.0 for link in scenario.topology.links
         }
+        self.link_paths: dict[tuple[int, int], tuple[Route, tuple[tuple[int, int], ...]]] = {}
         self.completed = 0
         self.migrations = 0
-        self.now = 0.0
 
     # -- event plumbing ----------------------------------------------------
 
     def schedule(self, time: float, kind: int, data: tuple) -> None:
         if not math.isfinite(time):
             raise EngineError(f"non-finite event time {time} for kind {kind}")
-        heapq.heappush(self.heap, Event(time, next(self.seq), kind, data))
+        heapq.heappush(self.heap, (time, next(self.seq), kind, data))
 
     def _inject_arrivals(self) -> None:
         merged: list[tuple[float, int, str, float, float]] = []
@@ -236,13 +244,20 @@ class _Run:
     # -- transfers ---------------------------------------------------------
 
     def _charge_links(self, src: int, dst: int, nbytes: float, rec: StageRecord) -> Route:
-        """Charge ``nbytes`` to every link from ``src`` to ``dst`` and to the stage."""
-        route = self.routes.route(src, dst)
-        path = route.path
-        for u, v in zip(path, path[1:]):
-            key = (u, v) if u <= v else (v, u)
-            self.link_bytes[key] += nbytes
-            rec.link_bytes += nbytes
+        """Charge ``nbytes`` to every link from ``src`` to ``dst``, in path order, and to the stage."""
+        try:
+            route, keys = self.link_paths[(src, dst)]
+        except KeyError:
+            route = self.routes.route(src, dst)
+            path = route.path
+            keys = tuple((u, v) if u <= v else (v, u) for u, v in zip(path, path[1:]))
+            self.link_paths[(src, dst)] = route, keys
+        link_bytes = self.link_bytes
+        charged = rec.link_bytes
+        for key in keys:
+            link_bytes[key] += nbytes
+            charged += nbytes
+        rec.link_bytes = charged
         return route
 
     def _hop(self, src: int, dst: int, data_bytes: float, producer, consumer, rec: StageRecord) -> float:
@@ -260,37 +275,26 @@ class _Run:
 
     # -- handlers ------------------------------------------------------------
 
-    def _on_arrival(self, ev: Event) -> None:
-        (inv_id,) = ev.data
+    def _on_arrival(self, now: float, data: tuple) -> None:
+        (inv_id,) = data
         inv = self.invocations[inv_id]
         app = self.apps[inv.app]
-        self.schedule(ev.time, STAGE_READY, (inv_id, app.source, inv.client))
+        self.schedule(now, STAGE_READY, (inv_id, app.source, inv.client))
 
-    def _on_stage_ready(self, ev: Event) -> None:
-        inv_id, fid, at_node = ev.data
+    def _on_stage_ready(self, now: float, data: tuple) -> None:
+        inv_id, fid, at_node = data
         inv = self.invocations[inv_id]
         app = self.apps[inv.app]
         f = app.functions[fid]
         preds = app.preds[fid]
         input_bytes = vertex_input_bytes(preds, inv.outputs, inv.payload)
 
-        now = ev.time
-        candidates = self.sc.candidates
-        if self.reads_backlog:
-            workers = self.workers
-            backlog = {w: workers[w].backlog_ops(now) for w in candidates}
-        else:
-            backlog = {}
-        ctx = DispatchContext(
-            app_id=inv.app,
-            candidate_workers=candidates,
-            backlog=backlog,
-            registry=self.registry,
-            routes=self.routes,
-            payload_location=at_node,
-            rng=self.policy_rng,
-            workers=self.worker_specs,
-        )
+        ctx = self.ctx
+        ctx.app_id = inv.app
+        ctx.payload_location = at_node
+        backlog = ctx.backlog
+        for wid, wr in self.backlog_runtimes:
+            backlog[wid] = wr.backlog_ops(now)
         w = choose_worker(self.policy, ctx, self.rr, f, input_bytes, self.mode)
         rec = StageRecord(worker=w, dispatch_time=now)
         inv.stages[fid] = rec
@@ -299,7 +303,7 @@ class _Run:
         # the chosen worker for free, later touches pay the mode's cost and
         # a migration moves the host to the executor at once.
         access = state_mod.ZERO_ACCESS
-        if self.mode.is_remote and f.state_size > 0:
+        if self.remote and f.state_size > 0:
             entry = self.registry.get(inv.app, fid)
             if entry is None:
                 self.registry.seed(inv.app, fid, host=w, state_size=f.state_size)
@@ -334,16 +338,16 @@ class _Run:
         t_enq = now + d_in + access.delay
         self.schedule(t_enq, EXEC_START, (inv_id, fid, w, out_bytes, ops))
 
-    def _on_exec_start(self, ev: Event) -> None:
-        inv_id, fid, w, out_bytes, ops = ev.data
+    def _on_exec_start(self, now: float, data: tuple) -> None:
+        inv_id, fid, w, out_bytes, ops = data
         wr = self.workers[w]
         # A core freed at this instant belongs to the queue's head (its
         # EXEC_DONE may not have been popped yet), so join the queue if any.
-        core = None if wr.queue else wr.free_core(ev.time)
+        core = None if wr.queue else wr.free_core(now)
         if core is None:
-            wr.enqueue((inv_id, fid, out_bytes, ops, ev.time))
+            wr.enqueue((inv_id, fid, out_bytes, ops, now))
             return
-        self._start_on_core(wr, core, inv_id, fid, w, out_bytes, ops, ev.time, ev.time)
+        self._start_on_core(wr, core, inv_id, fid, w, out_bytes, ops, now, now)
 
     def _start_on_core(
         self,
@@ -367,31 +371,31 @@ class _Run:
         wr.busy_seconds += duration
         self.schedule(now + duration, EXEC_DONE, (inv_id, fid, w, out_bytes))
 
-    def _on_exec_done(self, ev: Event) -> None:
-        inv_id, fid, w, out_bytes = ev.data
+    def _on_exec_done(self, now: float, data: tuple) -> None:
+        inv_id, fid, w, out_bytes = data
         inv = self.invocations[inv_id]
         app = self.apps[inv.app]
         inv.outputs[fid] = out_bytes
 
         if fid == app.sink:
             d_out = self._hop(w, inv.client, out_bytes, app.functions[fid], None, inv.stages[fid])
-            self.schedule(ev.time + d_out, DELIVERED, (inv_id,))
+            self.schedule(now + d_out, DELIVERED, (inv_id,))
         else:
             for q in app.succs[fid]:
                 inv.pending[q] -= 1
                 if inv.pending[q] == 0:
-                    self.schedule(ev.time, STAGE_READY, (inv_id, q, w))
+                    self.schedule(now, STAGE_READY, (inv_id, q, w))
 
         wr = self.workers[w]
         if wr.queue:
-            core = wr.free_core(ev.time)
+            core = wr.free_core(now)
             if core is not None:
                 q_inv, q_fid, q_out, q_ops, q_t = wr.dequeue()
-                self._start_on_core(wr, core, q_inv, q_fid, w, q_out, q_ops, q_t, ev.time)
+                self._start_on_core(wr, core, q_inv, q_fid, w, q_out, q_ops, q_t, now)
 
-    def _on_delivered(self, ev: Event) -> None:
-        (inv_id,) = ev.data
-        self.invocations[inv_id].completion = ev.time
+    def _on_delivered(self, now: float, data: tuple) -> None:
+        (inv_id,) = data
+        self.invocations[inv_id].completion = now
         self.completed += 1
 
     # -- main loop -----------------------------------------------------------
@@ -406,14 +410,17 @@ class _Run:
             EXEC_DONE: self._on_exec_done,
             DELIVERED: self._on_delivered,
         }
-        while self.heap:
-            ev = heapq.heappop(self.heap)
-            if ev.time < self.now:
-                raise EngineError(f"event time went backwards: {ev.time} < {self.now}")
-            self.now = ev.time
-            handlers[ev.kind](ev)
+        heap = self.heap
+        heappop = heapq.heappop  # bound per run, so a replaced ``heapq`` is seen
+        now = 0.0
+        while heap:
+            time, _, kind, data = heappop(heap)
+            if time < now:
+                raise EngineError(f"event time went backwards: {time} < {now}")
+            now = time
+            handlers[kind](now, data)
 
-        end_time = self.now
+        end_time = now
         utilization = {}
         for wid, wr in sorted(self.workers.items()):
             denom = wr.node.cores * end_time
