@@ -1,10 +1,10 @@
 """Deterministic discrete-event simulator for chain/DAG invocations.
 
 Events are ``(time, seq, kind, data)`` tuples processed in (time, seq)
-order, seq being creation order, which totally orders simultaneous events. Arrivals are injected in [0, horizon);
-in-flight work drains, so a run terminates exactly when the event queue is
-empty. Given a scenario (including seed) the produced metrics are a pure
-function of the inputs.
+order, seq being creation order, which totally orders simultaneous events.
+Arrivals are injected in [0, horizon); in-flight work drains, so a run
+terminates exactly when the event queue is empty. Given a scenario
+(including seed) the produced metrics are a pure function of the inputs.
 """
 
 from __future__ import annotations

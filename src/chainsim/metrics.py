@@ -133,32 +133,3 @@ def _latency_stats(latencies: Sequence[float]) -> dict:
         "p99_latency_s": percentile(latencies, 0.99),
     }
 
-
-def summary_from_rows(rows: Iterable[Mapping[str, str]], horizon: float) -> dict:
-    """Recompute the summary's CSV-derived part from invocations.csv rows.
-
-    Matches ``summary_record`` for the same run: fields not derivable from
-    the rows (utilization) are omitted.
-    """
-    latencies: list[float] = []
-    injected = 0
-    completed = 0
-    state_bytes = 0.0
-    migrations = 0
-    for row in rows:
-        injected += 1
-        if row["latency_s"] != "":
-            completed += 1
-            latencies.append(float(row["latency_s"]))
-        state_bytes += float(row["state_bytes"])
-        migrations += int(row["migrations"])
-    record: dict = {
-        "injected": injected,
-        "completed": completed,
-        "in_flight_at_end": injected - completed,
-        "throughput_per_s": completed / horizon,
-        "total_state_bytes": state_bytes,
-        "total_migrations": migrations,
-    }
-    record.update(_latency_stats(latencies))
-    return record

@@ -224,6 +224,44 @@ def reference_choice(ctx, f, input_bytes, mode) -> int:
     return min((reference_estimate(ctx, f, w, input_bytes, mode), w) for w in ctx.candidate_workers)[1]
 
 
+# -- outputs ------------------------------------------------------------------
+
+
+def summary_from_rows(rows, horizon: float) -> dict:
+    """Recompute the CSV-derived part of a summary record from invocations.csv rows.
+
+    An offline check of ``metrics.summary_record`` for the same run: the
+    utilization, which the rows do not hold, is omitted. Percentiles are
+    nearest-rank, the ceil(p*n)-th order statistic.
+    """
+    latencies: list[float] = []
+    injected = completed = migrations = 0
+    state_bytes = 0.0
+    for row in rows:
+        injected += 1
+        if row["latency_s"] != "":
+            completed += 1
+            latencies.append(float(row["latency_s"]))
+        state_bytes += float(row["state_bytes"])
+        migrations += int(row["migrations"])
+    record: dict = {
+        "injected": injected,
+        "completed": completed,
+        "in_flight_at_end": injected - completed,
+        "throughput_per_s": completed / horizon,
+        "total_state_bytes": state_bytes,
+        "total_migrations": migrations,
+    }
+    ordered = sorted(latencies)
+    for key, p in (("p50_latency_s", 0.50), ("p95_latency_s", 0.95), ("p99_latency_s", 0.99)):
+        record[key] = ordered[math.ceil(p * len(ordered)) - 1] if ordered else None
+    total = 0.0
+    for x in latencies:
+        total += x
+    record["mean_latency_s"] = total / len(latencies) if latencies else None
+    return record
+
+
 # -- scenario documents -------------------------------------------------------
 
 

@@ -24,7 +24,6 @@ from chainsim.dispatch import (
     choose_worker,
     estimate_completion,
 )
-from chainsim.metrics import summary_from_rows
 from chainsim.state import StateMode, StateRegistry
 from chainsim.topology import LinkSpec, NodeSpec, Topology, build_routes
 from chainsim.workflow import FunctionSpec, critical_path_time
@@ -36,6 +35,7 @@ from helpers import (
     random_chain_scenario_raw,
     random_dag,
     random_topology,
+    summary_from_rows,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -11,7 +11,7 @@ import pytest
 from chainsim.cli import main
 from chainsim.config import load_json, scenario_from_raw, sweep_from_raw
 
-from helpers import chain_scenario_raw
+from helpers import chain_scenario_raw, summary_from_rows
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -366,7 +366,6 @@ class TestSummaryRecompute:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         doc = json.loads((out / "summary.json").read_text())
-        from chainsim.metrics import summary_from_rows
 
         for r, record in enumerate(doc["records"]):
             with open(out / f"rep_{r:03d}" / "invocations.csv", newline="") as fh:

@@ -3,10 +3,10 @@
 Each case runs ``chainsim`` through ``cli.main`` into a temporary directory
 and compares the SHA-256 of every written file with the listing in
 ``tests/golden/outputs.sha256``. The cases are every valid bundled config as
-shipped, the bundled sweep with plot data, and the chain and DAG configs
-under every (policy, state_mode) pair. A change that is meant to keep
-behaviour must leave this test green; one that changes outputs on purpose
-regenerates the listing and explains the difference:
+shipped, the bundled sweep with plot data, and the chain, DAG and two-app
+configs under every (policy, state_mode) pair. A change that is meant to
+keep behaviour must leave this test green; one that changes outputs on
+purpose regenerates the listing and explains the difference:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/outputs.sha256
 """
