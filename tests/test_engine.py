@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from chainsim import engine, metrics
 from chainsim.config import load_json, scenario_from_raw
-from chainsim.dispatch import PolicyKind
+from chainsim.dispatch import BACKLOG_POLICIES, PolicyKind
 from chainsim.state import StateMode, StateRegistry
 from chainsim.topology import NodeSpec
 from chainsim.workflow import critical_path_time
@@ -275,6 +275,37 @@ class TestComputeRandomization:
         assert mean == pytest.approx(2.0, rel=0.10)
 
 
+# Two-sided 99.9% quantile of Student's t with 19 degrees of freedom.
+T_999_19 = 3.8834
+
+
+class TestMD1:
+    def test_sojourn_matches_pollaczek_khinchine(self):
+        # configs/mm1.json with constant 1 s service: M/D/1 at rho = 0.7,
+        # mean sojourn 1/mu + rho / (2 mu (1 - rho)). The seed is the config's.
+        lam, mu = 0.7, 1.0
+        raw = load_json(CONFIGS / "mm1.json")
+        raw["workload"]["compute_randomization"] = False
+        raw["workload"]["rates"]["mm1"] = lam
+        raw["workload"]["horizon"] = 60_000.0
+        log = engine.run(build(raw))
+        assert log.completed == log.injected > 40_000
+        # one FIFO server: invocations leave in arrival order
+        completions = [inv.completion for inv in log.invocations]
+        assert completions == sorted(completions)
+
+        latencies = [inv.latency for inv in log.invocations][2_000:]  # warm-up dropped
+        n_batches = 20
+        size = len(latencies) // n_batches
+        means = [math.fsum(latencies[i * size:(i + 1) * size]) / size for i in range(n_batches)]
+        grand = math.fsum(means) / n_batches
+        sd = math.sqrt(math.fsum((m - grand) ** 2 for m in means) / (n_batches - 1))
+        half = T_999_19 * sd / math.sqrt(n_batches)
+        expected = 1.0 / mu + lam / (2.0 * mu * (1.0 - lam))
+        assert grand - half <= expected <= grand + half, (grand, half, expected)
+        assert half < 0.1 * expected  # the interval is narrow enough to mean something
+
+
 def rescan_backlog(wr, now):
     """Reference backlog: the queue summed from scratch, then the busy cores."""
     pending = math.fsum(item[3] for item in wr.queue)
@@ -327,7 +358,7 @@ class TestWorkerRuntime:
             wr.busy_until = idle_at
             assert wr.backlog_ops(now).hex() == (0.0).hex()
 
-    @pytest.mark.parametrize("policy", ["least_loaded", "state_local", "min_latency_estimate"])
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_engine_matches_rescanning_backlog(self, policy, monkeypatch):
         # rho ~1.3 on three single-core workers: queues grow through the run
         raw = chain_scenario_raw(n_workers=3, chain_len=3, policy=policy, state_mode="remote_migrate",
@@ -336,7 +367,36 @@ class TestWorkerRuntime:
             fn["state_size"] = 0.0  # stateless stages: state_local falls back to least_loaded
         raw["workload"]["compute_randomization"] = True
         raw["workload"]["payload"] = {"kind": "exponential", "mean": 1000.0}
+
+        # The engine reuses one context per run; at every decision it must
+        # hold this stage's app and payload node and a fresh backlog.
+        reads_backlog = PolicyKind(policy) in BACKLOG_POLICIES
+        ready = []  # (run, now, data) of each STAGE_READY as it is handled
+        on_stage_ready = engine._Run._on_stage_ready
+        choose_worker = engine.choose_worker
+
+        def record_ready(run, now, data):
+            ready.append((run, now, data))
+            on_stage_ready(run, now, data)
+
+        def spy(policy_kind, ctx, rr, f, input_bytes, mode):
+            run, now, (inv_id, fid, at_node) = ready[-1]
+            inv = run.invocations[inv_id]
+            preds = run.apps[inv.app].preds[fid]
+            assert f.id == fid and ctx.app_id == inv.app
+            assert ctx.payload_location == at_node == (inv.stages[preds[0]].worker if preds else inv.client)
+            if reads_backlog:
+                assert list(ctx.backlog) == list(ctx.candidate_workers)
+                for w, ops in ctx.backlog.items():
+                    assert ops == engine.WorkerRuntime.backlog_ops(run.workers[w], now)
+            else:
+                assert ctx.backlog == {}
+            return choose_worker(policy_kind, ctx, rr, f, input_bytes, mode)
+
+        monkeypatch.setattr(engine._Run, "_on_stage_ready", record_ready)
+        monkeypatch.setattr(engine, "choose_worker", spy)
         fast = run_one(raw)
+        assert len(ready) == sum(len(inv.stages) for inv in fast.invocations) > 0
         assert max(s.queue_wait_s for inv in fast.invocations for s in inv.stages.values()) > 0.1
         monkeypatch.setattr(engine.WorkerRuntime, "backlog_ops", rescan_backlog)
         assert run_one(raw) == fast
