@@ -3,10 +3,12 @@
 Each case runs ``chainsim`` through ``cli.main`` into a temporary directory
 and compares the SHA-256 of every written file with the listing in
 ``tests/golden/outputs.sha256``. The cases are every valid bundled config as
-shipped, the bundled sweep with plot data, and the chain, DAG and two-app
-configs under every (policy, state_mode) pair. A change that is meant to
-keep behaviour must leave this test green; one that changes outputs on
-purpose regenerates the listing and explains the difference:
+shipped, the bundled sweep with plot data, the chain, DAG and two-app
+configs under every (policy, state_mode) pair, and the ``describe`` listing
+of every valid config (hashed as ``<config>+describe/stdout``). A change
+that is meant to keep behaviour must leave this test green; one that
+changes outputs on purpose regenerates the listing and explains the
+difference:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/outputs.sha256
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -51,6 +54,8 @@ def _cases() -> dict[str, tuple[str, str, dict | None, list[str]]]:
             for mode in StateMode:
                 override = {"policy": policy.value, "state_mode": mode.value}
                 cases[f"{name}+{policy.value}+{mode.value}"] = ("run", name, override, [])
+    for name in VALID:
+        cases[f"{name}+describe"] = ("describe", name, None, [])
     return cases
 
 
@@ -66,6 +71,11 @@ def case_hashes(case: str, work: Path) -> dict[str, str]:
         raw.update(override)
         config = work / "config.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
+    if command == "describe":
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main([command, str(config)]) == 0
+        return {f"{case}/stdout": hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()}
     out = work / "out"
     assert main([command, str(config), "--out", str(out), *extra]) == 0
     return {
