@@ -101,7 +101,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         route = scenario.routes.route(src, dst)
         print(
             f"  {src} -> {dst}: path={list(route.path)} prop={route.propagation!r}"
-            f" bottleneck={route.bottleneck_rate!r} hops={route.hop_count}"
+            f" bottleneck={route.bottleneck_rate!r} hops={len(route.hops)}"
         )
     print("workflows:")
     for app_id in sorted(scenario.apps):

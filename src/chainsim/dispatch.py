@@ -145,9 +145,9 @@ def choose_worker(
         return _least_loaded(ctx)
 
     if policy is PolicyKind.STATE_LOCAL:
-        entry = ctx.registry.get(ctx.app_id, f.id)
-        if entry is not None and entry.host in candidates:
-            return entry.host
+        host = ctx.registry.get(ctx.app_id, f.id)
+        if host in candidates:
+            return host
         return _least_loaded(ctx)
 
     if policy is PolicyKind.MIN_LATENCY_ESTIMATE:

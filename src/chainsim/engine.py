@@ -19,7 +19,7 @@ from . import state as state_mod
 from . import workload as wl
 from .config import AppWorkflow, Scenario
 from .dispatch import BACKLOG_POLICIES, DispatchContext, PolicyKind, RrState, choose_worker
-from .state import StateMode, StateRegistry, remote_state_access
+from .state import StateRegistry, remote_state_access
 from .topology import NodeSpec, Route
 from .workflow import stage_io, vertex_input_bytes
 
@@ -28,6 +28,9 @@ STAGE_READY = 1
 EXEC_START = 2
 EXEC_DONE = 3
 DELIVERED = 4
+
+# One stage's job: the data of its EXEC_START and EXEC_DONE events.
+Job = tuple[int, str, int, float, float]  # inv_id, fid, worker, out_bytes, ops
 
 
 class EngineError(RuntimeError):
@@ -53,13 +56,11 @@ class StageRecord:
 class InvocationRecord:
     inv_id: int
     app: str
-    client: int
     arrival: float
     payload: float
     compute_factor: float
     stages: dict[str, StageRecord] = field(default_factory=dict)
     outputs: dict[str, float] = field(default_factory=dict)
-    pending: dict[str, int] = field(default_factory=dict)
     completion: float | None = None
 
     @property
@@ -105,7 +106,7 @@ def _exact_units(x: float) -> int:
 
 
 class WorkerRuntime:
-    """Per-core busy-until times plus a FIFO queue of pending stages.
+    """Per-core busy-until times plus a FIFO queue of ``(job, t_enq)`` items.
 
     The queue changes only through ``enqueue`` and ``dequeue``, which keep
     the exact total of its ops: ``queued_ops`` is that total correctly
@@ -117,19 +118,19 @@ class WorkerRuntime:
     def __init__(self, node: NodeSpec):
         self.node = node
         self.busy_until = [0.0] * node.cores
-        self.queue: deque[tuple[int, str, float, float, float]] = deque()  # inv, fid, output, ops, t_enq
+        self.queue: deque[tuple[Job, float]] = deque()
         self.busy_seconds = 0.0
         self.queued_units = 0
         self.queued_ops = 0.0
 
-    def enqueue(self, item: tuple[int, str, float, float, float]) -> None:
-        self.queue.append(item)
-        self.queued_units += _exact_units(item[3])
+    def enqueue(self, job: Job, t_enq: float) -> None:
+        self.queue.append((job, t_enq))
+        self.queued_units += _exact_units(job[4])
         self.queued_ops = self.queued_units / _ULP_SCALE
 
-    def dequeue(self) -> tuple[int, str, float, float, float]:
+    def dequeue(self) -> tuple[Job, float]:
         item = self.queue.popleft()
-        self.queued_units -= _exact_units(item[3])
+        self.queued_units -= _exact_units(item[0][4])
         self.queued_ops = self.queued_units / _ULP_SCALE
         return item
 
@@ -190,7 +191,6 @@ class _Run:
         self.link_bytes: dict[tuple[int, int], float] = {
             link.pair: 0.0 for link in scenario.topology.links
         }
-        self.link_paths: dict[tuple[int, int], tuple[Route, tuple[tuple[int, int], ...]]] = {}
         self.completed = 0
         self.migrations = 0
 
@@ -228,33 +228,17 @@ class _Run:
                 merged.append((t, app_idx, app_id, payload, factor))
         merged.sort(key=lambda item: (item[0], item[1]))
         for inv_id, (t, _idx, app_id, payload, factor) in enumerate(merged):
-            app = self.apps[app_id]
-            inv = InvocationRecord(
-                inv_id=inv_id,
-                app=app_id,
-                client=app.client,
-                arrival=t,
-                payload=payload,
-                compute_factor=factor,
-                pending={v: len(ps) for v, ps in app.preds.items()},
-            )
-            self.invocations[inv_id] = inv
+            self.invocations[inv_id] = InvocationRecord(inv_id, app_id, t, payload, factor)
             self.schedule(t, ARRIVAL, (inv_id,))
 
     # -- transfers ---------------------------------------------------------
 
     def _charge_links(self, src: int, dst: int, nbytes: float, rec: StageRecord) -> Route:
         """Charge ``nbytes`` to every link from ``src`` to ``dst``, in path order, and to the stage."""
-        try:
-            route, keys = self.link_paths[(src, dst)]
-        except KeyError:
-            route = self.routes.route(src, dst)
-            path = route.path
-            keys = tuple((u, v) if u <= v else (v, u) for u, v in zip(path, path[1:]))
-            self.link_paths[(src, dst)] = route, keys
+        route = self.routes.route(src, dst)
         link_bytes = self.link_bytes
         charged = rec.link_bytes
-        for key in keys:
+        for key in route.links:
             link_bytes[key] += nbytes
             charged += nbytes
         rec.link_bytes = charged
@@ -277,9 +261,8 @@ class _Run:
 
     def _on_arrival(self, now: float, data: tuple) -> None:
         (inv_id,) = data
-        inv = self.invocations[inv_id]
-        app = self.apps[inv.app]
-        self.schedule(now, STAGE_READY, (inv_id, app.source, inv.client))
+        app = self.apps[self.invocations[inv_id].app]
+        self.schedule(now, STAGE_READY, (inv_id, app.source, app.client))
 
     def _on_stage_ready(self, now: float, data: tuple) -> None:
         inv_id, fid, at_node = data
@@ -304,15 +287,12 @@ class _Run:
         # a migration moves the host to the executor at once.
         access = state_mod.ZERO_ACCESS
         if self.remote and f.state_size > 0:
-            entry = self.registry.get(inv.app, fid)
-            if entry is None:
-                self.registry.seed(inv.app, fid, host=w, state_size=f.state_size)
+            if self.registry.get(inv.app, fid) is None:
+                self.registry.seed(inv.app, fid, w)
             else:
                 access = remote_state_access(self.mode, self.registry, inv.app, f, w, self.routes)
-                if access.bytes_moved:
-                    self._charge_links(entry.host, w, f.state_size, rec)
-                    if self.mode is StateMode.REMOTE_FIXED:
-                        self._charge_links(w, entry.host, f.state_size, rec)
+                for src, dst in access.legs:
+                    self._charge_links(src, dst, f.state_size, rec)
                 if access.migration:
                     self.registry.move(inv.app, fid, w)
                     self.migrations += 1
@@ -338,29 +318,18 @@ class _Run:
         t_enq = now + d_in + access.delay
         self.schedule(t_enq, EXEC_START, (inv_id, fid, w, out_bytes, ops))
 
-    def _on_exec_start(self, now: float, data: tuple) -> None:
-        inv_id, fid, w, out_bytes, ops = data
-        wr = self.workers[w]
+    def _on_exec_start(self, now: float, job: Job) -> None:
+        wr = self.workers[job[2]]
         # A core freed at this instant belongs to the queue's head (its
         # EXEC_DONE may not have been popped yet), so join the queue if any.
         core = None if wr.queue else wr.free_core(now)
         if core is None:
-            wr.enqueue((inv_id, fid, out_bytes, ops, now))
+            wr.enqueue(job, now)
             return
-        self._start_on_core(wr, core, inv_id, fid, w, out_bytes, ops, now, now)
+        self._start_on_core(wr, core, job, now, now)
 
-    def _start_on_core(
-        self,
-        wr: WorkerRuntime,
-        core: int,
-        inv_id: int,
-        fid: str,
-        w: int,
-        out_bytes: float,
-        ops: float,
-        t_enq: float,
-        now: float,
-    ) -> None:
+    def _start_on_core(self, wr: WorkerRuntime, core: int, job: Job, t_enq: float, now: float) -> None:
+        inv_id, fid, w, _out_bytes, ops = job
         duration = ops / wr.node.core_speed
         if not math.isfinite(duration):
             raise EngineError(f"non-finite service time on worker {w}")
@@ -369,29 +338,30 @@ class _Run:
         rec.compute_s = duration
         wr.busy_until[core] = now + duration
         wr.busy_seconds += duration
-        self.schedule(now + duration, EXEC_DONE, (inv_id, fid, w, out_bytes))
+        self.schedule(now + duration, EXEC_DONE, job)
 
-    def _on_exec_done(self, now: float, data: tuple) -> None:
-        inv_id, fid, w, out_bytes = data
+    def _on_exec_done(self, now: float, job: Job) -> None:
+        inv_id, fid, w, out_bytes, _ops = job
         inv = self.invocations[inv_id]
         app = self.apps[inv.app]
-        inv.outputs[fid] = out_bytes
+        outputs = inv.outputs
+        outputs[fid] = out_bytes
 
         if fid == app.sink:
-            d_out = self._hop(w, inv.client, out_bytes, app.functions[fid], None, inv.stages[fid])
+            d_out = self._hop(w, app.client, out_bytes, app.functions[fid], None, inv.stages[fid])
             self.schedule(now + d_out, DELIVERED, (inv_id,))
         else:
+            # A successor is ready once every predecessor has an output, which
+            # happens exactly once: on its last predecessor's EXEC_DONE.
             for q in app.succs[fid]:
-                inv.pending[q] -= 1
-                if inv.pending[q] == 0:
+                if all(p in outputs for p in app.preds[q]):
                     self.schedule(now, STAGE_READY, (inv_id, q, w))
 
         wr = self.workers[w]
         if wr.queue:
             core = wr.free_core(now)
             if core is not None:
-                q_inv, q_fid, q_out, q_ops, q_t = wr.dequeue()
-                self._start_on_core(wr, core, q_inv, q_fid, w, q_out, q_ops, q_t, now)
+                self._start_on_core(wr, core, *wr.dequeue(), now)
 
     def _on_delivered(self, now: float, data: tuple) -> None:
         (inv_id,) = data

@@ -35,36 +35,32 @@ class StateMode(enum.Enum):
         return self is not StateMode.EMBEDDED
 
 
-@dataclass(frozen=True)
-class StateEntry:
-    host: int  # worker node id
-    state_size: float  # bytes
-
-
 @dataclass
 class StateRegistry:
-    """Where each (app, function) state item currently lives.
+    """The worker node id that holds each (app, function) state item.
 
     Mutable, owned exclusively by one simulation run; never shared across
-    replications.
+    replications. State sizes live on the ``FunctionSpec``.
     """
 
-    _entries: dict[tuple[str, str], StateEntry] = field(default_factory=dict)
+    _hosts: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    def get(self, app_id: str, function_id: str) -> StateEntry | None:
-        return self._entries.get((app_id, function_id))
+    def get(self, app_id: str, function_id: str) -> int | None:
+        return self._hosts.get((app_id, function_id))
 
-    def seed(self, app_id: str, function_id: str, host: int, state_size: float) -> None:
-        """Create the entry for a first dispatch; no-op cost, errors on re-seed."""
+    def seed(self, app_id: str, function_id: str, host: int) -> None:
+        """Place the state for a first dispatch; no-op cost, errors on re-seed."""
         key = (app_id, function_id)
-        if key in self._entries:
+        if key in self._hosts:
             raise ValueError(f"state for {key} already placed")
-        self._entries[key] = StateEntry(host=host, state_size=state_size)
+        self._hosts[key] = host
 
     def move(self, app_id: str, function_id: str, host: int) -> None:
         """Record a migration: the placed state now lives at ``host``."""
         key = (app_id, function_id)
-        self._entries[key] = StateEntry(host=host, state_size=self._entries[key].state_size)
+        if key not in self._hosts:
+            raise KeyError(f"state for {key} was never placed")
+        self._hosts[key] = host
 
 
 @dataclass(frozen=True)
@@ -72,8 +68,9 @@ class StateAccess:
     """Outcome of making one function's state available at its executor."""
 
     delay: float  # seconds
-    bytes_moved: float  # bytes over the network
+    bytes_moved: float  # bytes over the network: len(legs) x state size
     migration: bool = False  # the state moves to the executor
+    legs: tuple[tuple[int, int], ...] = ()  # (src, dst) of each network crossing, in order
 
 
 ZERO_ACCESS = StateAccess(delay=0.0, bytes_moved=0.0)
@@ -119,11 +116,13 @@ def remote_state_access(
     host = _priced_host(mode, reg, app_id, f)
     if host is None or host == exec_node:
         return ZERO_ACCESS
-    size = f.state_size
-    delay = _access_delay(mode, host, exec_node, size, rt)
-    if mode is StateMode.REMOTE_FIXED:
-        return StateAccess(delay=delay, bytes_moved=2 * size)
-    return StateAccess(delay=delay, bytes_moved=size, migration=True)
+    legs = _legs(mode, host, exec_node)
+    return StateAccess(
+        delay=_access_delay(mode, host, exec_node, f.state_size, rt),
+        bytes_moved=len(legs) * f.state_size,
+        migration=mode is StateMode.REMOTE_MIGRATE,
+        legs=legs,
+    )
 
 
 def state_delays(
@@ -153,12 +152,18 @@ def _priced_host(mode: StateMode, reg: StateRegistry, app_id: str, f: "FunctionS
     """Host of f's state when an access away from it has a cost, else None."""
     if not mode.is_remote or f.state_size == 0:
         return None
-    entry = reg.get(app_id, f.id)
-    return None if entry is None else entry.host
+    return reg.get(app_id, f.id)
+
+
+def _legs(mode: StateMode, host: int, exec_node: int) -> tuple[tuple[int, int], ...]:
+    """The state's crossings for one remote access: remote_fixed fetches and writes back."""
+    if mode is StateMode.REMOTE_FIXED:
+        return ((host, exec_node), (exec_node, host))
+    return ((host, exec_node),)
 
 
 def _access_delay(mode: StateMode, host: int, exec_node: int, size: float, rt: RouteTable) -> float:
-    delay = transfer_delay(rt, host, exec_node, size)
-    if mode is StateMode.REMOTE_FIXED:
-        delay += transfer_delay(rt, exec_node, host, size)
+    delay = 0.0
+    for src, dst in _legs(mode, host, exec_node):
+        delay += transfer_delay(rt, src, dst, size)
     return delay

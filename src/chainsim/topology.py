@@ -78,13 +78,13 @@ class Topology:
 
 @dataclass(frozen=True)
 class Route:
-    """One directed route: node id sequence plus per-hop (propagation, rate)."""
+    """One directed route: node id sequence plus each hop's (propagation, rate) and link key."""
 
     path: tuple[int, ...]  # src first, dst last; (src,) when src == dst
     hops: tuple[tuple[float, float], ...]  # (propagation s, rate B/s) per hop
+    links: tuple[tuple[int, int], ...]  # LinkSpec.pair per hop
     propagation: float
     bottleneck_rate: float  # +inf for the empty route
-    hop_count: int
 
     def delay(self, nbytes: float) -> float:
         acc = 0.0
@@ -192,28 +192,24 @@ def validate_topology(t: Topology) -> list[str]:
     if not any(n.role == ROLE_WORKER for n in t.nodes):
         violations.append("topology has no worker")
 
-    if t.nodes and not _connected(t):
+    adj = _adjacency(t)
+    if adj and len(_dijkstra(t.nodes[0].id, adj)) < len(adj):
         violations.append("topology not connected")
 
     return violations
 
 
-def _connected(t: Topology) -> bool:
-    adj: dict[int, set[int]] = {n.id: set() for n in t.nodes}
+def _adjacency(t: Topology) -> dict[int, list[tuple[int, float, float]]]:
+    """Each node's sorted (neighbour, propagation, rate) list; links with an unknown or repeated endpoint are skipped."""
+    adj: dict[int, list[tuple[int, float, float]]] = {n.id: [] for n in t.nodes}
     for link in t.links:
-        if link.endpoint_a in adj and link.endpoint_b in adj and link.endpoint_a != link.endpoint_b:
-            adj[link.endpoint_a].add(link.endpoint_b)
-            adj[link.endpoint_b].add(link.endpoint_a)
-    start = t.nodes[0].id
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(adj)
+        a, b = link.endpoint_a, link.endpoint_b
+        if a in adj and b in adj and a != b:
+            adj[a].append((b, link.propagation, link.rate))
+            adj[b].append((a, link.propagation, link.rate))
+    for lst in adj.values():
+        lst.sort()
+    return adj
 
 
 def build_routes(t: Topology) -> RouteTable:
@@ -229,13 +225,7 @@ def build_routes(t: Topology) -> RouteTable:
     if violations:
         raise ValueError("invalid topology: " + "; ".join(violations))
 
-    adj: dict[int, list[tuple[int, float, float]]] = {n.id: [] for n in t.nodes}
-    for link in t.links:
-        adj[link.endpoint_a].append((link.endpoint_b, link.propagation, link.rate))
-        adj[link.endpoint_b].append((link.endpoint_a, link.propagation, link.rate))
-    for lst in adj.values():
-        lst.sort()
-
+    adj = _adjacency(t)
     link_params = {link.pair: (link.propagation, link.rate) for link in t.links}
 
     routes: dict[tuple[int, int], Route] = {}
@@ -244,12 +234,13 @@ def build_routes(t: Topology) -> RouteTable:
             if src > dst:
                 continue
             for p in (path, path[::-1]):
-                hops = tuple(link_params[(u, v) if u <= v else (v, u)] for u, v in zip(p, p[1:]))
+                links = tuple((u, v) if u <= v else (v, u) for u, v in zip(p, p[1:]))
+                hops = tuple(link_params[key] for key in links)
                 prop = 0.0
                 for link_prop, _rate in hops:
                     prop += link_prop
                 rate = min((h[1] for h in hops), default=math.inf)
-                routes[(p[0], p[-1])] = Route(p, hops, prop, rate, len(hops))
+                routes[(p[0], p[-1])] = Route(p, hops, links, prop, rate)
     return RouteTable(routes)
 
 

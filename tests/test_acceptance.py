@@ -122,7 +122,7 @@ def test_criterion_02_dag_critical_path_vs_brute_force():
         reg = StateRegistry()
         for v in sorted(d.vertices):
             if fns[v].state_size > 0 and rng.random() < 0.6:
-                reg.seed("app", v, host=rng.choice([1, 2, 3]), state_size=fns[v].state_size)
+                reg.seed("app", v, host=rng.choice([1, 2, 3]))
         got = critical_path_time(d, a, rt, reg, mode, functions=fns, workers=workers, client=0)
         expected = enumerate_critical_path(
             d, a, rt, reg, mode, functions=fns, workers=workers, client=0
@@ -146,7 +146,7 @@ def test_criterion_03_routing_vs_brute_force():
             route = rt.route(*key)
             assert route.path == path, f"topology #{k}, pair {key}"
             assert route.propagation == prop, f"topology #{k}, pair {key}"
-            assert route.hop_count == len(path) - 1
+            assert len(route.hops) == len(path) - 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"routing check took {elapsed:.2f}s"
     _report(3, "routes equal all-paths minimization on 100 random topologies")
@@ -279,7 +279,7 @@ def test_criterion_08_policy_oracle():
         )
         reg = StateRegistry()
         if state_size and rng.random() < 0.8:
-            reg.seed("app", "f", host=rng.choice(candidates), state_size=state_size)
+            reg.seed("app", "f", host=rng.choice(candidates))
         backlog = {
             w: 0.0 if homogeneous else rng.choice([0.0, 500.0, 5000.0]) for w in candidates
         }

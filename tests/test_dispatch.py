@@ -83,13 +83,13 @@ class TestEstimateCompletion:
     def test_state_term_uses_snapshot_without_migrating(self):
         t, rt = star_network(2)
         reg = StateRegistry()
-        reg.seed("app", "f", host=1, state_size=500.0)
+        reg.seed("app", "f", host=1)
         ctx = make_ctx(t, rt, payload_location=1, registry=reg)
         f = FunctionSpec("f", fixed_ops=1000.0, state_size=500.0)
         at_host = estimate_completion(ctx, f, 1, 0.0, StateMode.REMOTE_MIGRATE)
         away = estimate_completion(ctx, f, 2, 0.0, StateMode.REMOTE_MIGRATE)
         assert away > at_host
-        assert reg.get("app", "f").host == 1  # prediction, not commitment
+        assert reg.get("app", "f") == 1  # prediction, not commitment
 
     def test_cores_divide_backlog(self):
         t, rt = star_network(1, cores=4)
@@ -133,7 +133,7 @@ class TestChooseWorker:
     def test_state_local_prefers_host_else_least_loaded(self):
         t, rt = star_network(3)
         reg = StateRegistry()
-        reg.seed("app", "f", host=3, state_size=10.0)
+        reg.seed("app", "f", host=3)
         ctx = make_ctx(t, rt, registry=reg, backlog={1: 0.0, 2: 0.0, 3: 100.0})
         f = FunctionSpec("f", fixed_ops=1.0, state_size=10.0)
         assert choose_worker(PolicyKind.STATE_LOCAL, ctx, RrState(), f, 0.0, StateMode.REMOTE_FIXED) == 3
@@ -163,7 +163,7 @@ class TestChooseWorker:
             n = rng.randint(2, 6)
             t, rt = star_network(n)
             reg = StateRegistry()
-            reg.seed("app", "f", host=rng.randint(1, n), state_size=800.0)
+            reg.seed("app", "f", host=rng.randint(1, n))
             backlog = {w: rng.choice([0.0, 500.0, 500.0, 2000.0]) for w in range(1, n + 1)}
             ctx = make_ctx(t, rt, backlog=backlog, registry=reg)
             mode = rng.choice(list(StateMode))
@@ -276,7 +276,7 @@ class TestScoresMatchReference:
                 for src in sources:
                     reg = StateRegistry()
                     if host is not None:
-                        reg.seed("app", "f", host=host, state_size=f.state_size)
+                        reg.seed("app", "f", host=host)
                     if tie:
                         backlog = {w: 500.0 for w in candidates}
                     else:

@@ -308,7 +308,7 @@ class TestMD1:
 
 def rescan_backlog(wr, now):
     """Reference backlog: the queue summed from scratch, then the busy cores."""
-    pending = math.fsum(item[3] for item in wr.queue)
+    pending = math.fsum(job[4] for job, _t_enq in wr.queue)
     speed = wr.node.core_speed
     for until in wr.busy_until:
         if until > now:
@@ -324,8 +324,8 @@ class TestWorkerRuntime:
         wr = engine.WorkerRuntime(NodeSpec(1, "worker", cores=2, core_speed=1e6))
         assert wr.backlog_ops(0.0) == 0.0
         wr.busy_until = [2.0, 0.5]  # remaining at t=0: 2e6 + 5e5 ops
-        wr.enqueue((0, "f", 0.0, 3000.0, 0.0))
-        wr.enqueue((1, "f", 0.0, 500.0, 0.0))
+        wr.enqueue((0, "f", 1, 0.0, 3000.0), 0.0)
+        wr.enqueue((1, "f", 1, 0.0, 500.0), 0.0)
         assert wr.backlog_ops(0.0) == pytest.approx(2e6 + 5e5 + 3500.0, abs=1e-6)
         # in-service remainder shrinks with time, queued ops do not
         assert wr.backlog_ops(1.0) == pytest.approx(1e6 + 3500.0, abs=1e-6)
@@ -348,7 +348,7 @@ class TestWorkerRuntime:
                 if wr.queue:
                     wr.dequeue()
             else:
-                wr.enqueue((i, "f", 0.0, ops, 0.0))
+                wr.enqueue((i, "f", 1, 0.0, ops), 0.0)
             for now in nows:
                 assert wr.backlog_ops(now).hex() == rescan_backlog(wr, now).hex()
         while wr.queue:
@@ -384,7 +384,8 @@ class TestWorkerRuntime:
             inv = run.invocations[inv_id]
             preds = run.apps[inv.app].preds[fid]
             assert f.id == fid and ctx.app_id == inv.app
-            assert ctx.payload_location == at_node == (inv.stages[preds[0]].worker if preds else inv.client)
+            origin = inv.stages[preds[0]].worker if preds else run.apps[inv.app].client
+            assert ctx.payload_location == at_node == origin
             if reads_backlog:
                 assert list(ctx.backlog) == list(ctx.candidate_workers)
                 for w, ops in ctx.backlog.items():

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from chainsim.state import (
     StateAccess,
-    StateEntry,
     StateMode,
     StateRegistry,
     remote_state_access,
     stage_transfer_bytes,
 )
-from chainsim.topology import build_routes
+from chainsim.topology import build_routes, transfer_delay
 from chainsim.workflow import FunctionSpec
 
 from helpers import make_topology
@@ -60,14 +59,14 @@ class TestEmbeddedOverhead:
 class TestRemoteStateAccess:
     def test_colocated_is_free(self, net):
         reg = StateRegistry()
-        reg.seed("app", "f", host=1, state_size=1000.0)
+        reg.seed("app", "f", host=1)
         access = remote_state_access(StateMode.REMOTE_FIXED, reg, "app", stateful(), 1, net)
         assert access == StateAccess(0.0, 0.0)
 
     def test_fixed_pays_fetch_and_writeback(self, net):
         # one hop (1 ms, 1e6 B/s), 1000 B each way: 2 * (0.001 + 0.001)
         reg = StateRegistry()
-        reg.seed("app", "f", host=1, state_size=1000.0)
+        reg.seed("app", "f", host=1)
         access = remote_state_access(StateMode.REMOTE_FIXED, reg, "app", stateful(), 2, net)
         assert access.delay == pytest.approx(0.004, abs=1e-15)
         assert access.bytes_moved == 2000.0
@@ -75,16 +74,16 @@ class TestRemoteStateAccess:
 
     def test_migrate_pays_single_transfer(self, net):
         reg = StateRegistry()
-        reg.seed("app", "f", host=1, state_size=1000.0)
+        reg.seed("app", "f", host=1)
         access = remote_state_access(StateMode.REMOTE_MIGRATE, reg, "app", stateful(), 2, net)
         assert access.delay == pytest.approx(0.002, abs=1e-15)
         assert access.bytes_moved == 1000.0
         assert access.migration
-        assert reg.get("app", "f").host == 1  # pure: the caller moves the host
+        assert reg.get("app", "f") == 1  # pure: the caller moves the host
 
     def test_fixed_bytes_double_migrate_bytes(self, net):
         reg = StateRegistry()
-        reg.seed("app", "f", host=1, state_size=777.0)
+        reg.seed("app", "f", host=1)
         fixed = remote_state_access(StateMode.REMOTE_FIXED, reg, "app", stateful(777.0), 2, net)
         migrate = remote_state_access(StateMode.REMOTE_MIGRATE, reg, "app", stateful(777.0), 2, net)
         assert fixed.bytes_moved == 2 * migrate.bytes_moved
@@ -100,28 +99,43 @@ class TestRemoteStateAccess:
 
     def test_embedded_mode_has_no_cost(self, net):
         reg = StateRegistry()
-        reg.seed("app", "f", host=1, state_size=1000.0)
+        reg.seed("app", "f", host=1)
         access = remote_state_access(StateMode.EMBEDDED, reg, "app", stateful(), 2, net)
         assert access == StateAccess(0.0, 0.0)
+
+
+class TestStateAccessLegs:
+    @pytest.mark.parametrize("mode", list(StateMode))
+    @pytest.mark.parametrize("case", ["away", "colocated", "unplaced", "stateless"])
+    def test_legs_in_every_mode(self, net, mode, case):
+        f = stateful(0.0 if case == "stateless" else 1000.0)
+        reg = StateRegistry()
+        if case != "unplaced":
+            reg.seed("app", "f", host=1)
+        access = remote_state_access(mode, reg, "app", f, 1 if case == "colocated" else 2, net)
+        crossings = {StateMode.REMOTE_FIXED: ((1, 2), (2, 1)), StateMode.REMOTE_MIGRATE: ((1, 2),)}
+        assert access.legs == (crossings.get(mode, ()) if case == "away" else ())
+        assert access.bytes_moved == len(access.legs) * f.state_size
+        assert access.delay == sum(transfer_delay(net, src, dst, f.state_size) for src, dst in access.legs)
+        assert access.migration == (mode is StateMode.REMOTE_MIGRATE and bool(access.legs))
 
 
 class TestRegistryMove:
     def test_migration_moves_only_that_entry(self):
         reg = StateRegistry()
-        reg.seed("app", "f", host=1, state_size=10.0)
-        reg.seed("app", "g", host=1, state_size=20.0)
+        reg.seed("app", "f", host=1)
+        reg.seed("app", "g", host=1)
         reg.move("app", "f", 2)
-        assert reg.get("app", "f").host == 2
-        assert reg.get("app", "g").host == 1
+        assert reg.get("app", "f") == 2
+        assert reg.get("app", "g") == 1
 
     def test_two_successive_migrations(self):
         # replayed by hand: w1 -> w2 -> w3 leaves the host at w3
         reg = StateRegistry()
-        reg.seed("app", "f", host=1, state_size=10.0)
+        reg.seed("app", "f", host=1)
         reg.move("app", "f", 2)
         reg.move("app", "f", 3)
-        assert reg.get("app", "f").host == 3
-        assert reg.get("app", "f").state_size == 10.0
+        assert reg.get("app", "f") == 3
 
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=30))
@@ -129,15 +143,15 @@ class TestRegistryMove:
         rng = random.Random(seed)
         reg = StateRegistry()
         hosts = {}
-        for size, fid in enumerate(("f", "g", "h"), start=1):
+        for fid in ("f", "g", "h"):
             hosts[fid] = rng.choice([1, 2, 3])
-            reg.seed("app", fid, host=hosts[fid], state_size=10.0 * size)
+            reg.seed("app", fid, host=hosts[fid])
         for _ in range(n_moves):
             fid = rng.choice(["f", "g", "h"])
             hosts[fid] = rng.choice([1, 2, 3])
             reg.move("app", fid, hosts[fid])
-            for size, g in enumerate(("f", "g", "h"), start=1):
-                assert reg.get("app", g) == StateEntry(host=hosts[g], state_size=10.0 * size)
+            for g in ("f", "g", "h"):
+                assert reg.get("app", g) == hosts[g]
         assert reg.get("app", "k") is None
 
     def test_move_of_unplaced_state_is_error(self):
@@ -146,6 +160,6 @@ class TestRegistryMove:
 
     def test_reseed_rejected(self):
         reg = StateRegistry()
-        reg.seed("app", "f", host=1, state_size=10.0)
+        reg.seed("app", "f", host=1)
         with pytest.raises(ValueError):
-            reg.seed("app", "f", host=2, state_size=10.0)
+            reg.seed("app", "f", host=2)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -75,7 +76,7 @@ class TestBuildRoutes:
     def test_self_route_is_empty(self):
         rt = build_routes(minimal_topology())
         route = rt.route(0, 0)
-        assert route.hop_count == 0 and route.propagation == 0.0
+        assert route.hops == route.links == () and route.propagation == 0.0
         assert route.path == (0,)
 
     def test_triangle_prefers_two_cheap_hops(self):
@@ -231,3 +232,64 @@ class TestHopClasses:
                 assert classes[c].hops == rt.route(src, dst).hops
                 assert classes[c].delay(nbytes).hex() == transfer_delay(rt, src, dst, nbytes).hex()
             assert rt.hop_classes(src, targets) is rt.hop_classes(src, targets)
+
+
+class TestRouteLinks:
+    @settings(max_examples=60)
+    @given(topologies(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_links_and_hops_follow_the_path(self, t, flip_seed):
+        # Links are given in either orientation; a route names each by its pair.
+        rng = random.Random(flip_seed)
+        links = tuple(
+            LinkSpec(l.endpoint_b, l.endpoint_a, l.propagation, l.rate) if rng.random() < 0.5 else l
+            for l in t.links
+        )
+        by_ends = {}
+        for link in links:
+            by_ends[(link.endpoint_a, link.endpoint_b)] = by_ends[(link.endpoint_b, link.endpoint_a)] = link
+        rt = build_routes(Topology(t.nodes, links))
+        for src, dst in rt.pairs():
+            route = rt.route(src, dst)
+            assert len(route.links) == len(route.hops) == len(route.path) - 1
+            for i, (u, v) in enumerate(zip(route.path, route.path[1:])):
+                link = by_ends[(u, v)]
+                assert route.links[i] == link.pair
+                assert route.hops[i] == (link.propagation, link.rate)
+
+
+@st.composite
+def unchecked_topologies(draw):
+    """Node and link sets with repeated ids, unknown endpoints, self-loops, duplicates and negative propagation."""
+    ids = draw(st.lists(st.integers(min_value=0, max_value=7), max_size=7))
+    ends = st.integers(min_value=0, max_value=9)  # 8 and 9 are never node ids
+    props = st.sampled_from([-1.0, 0.0, 0.001, 0.01])
+    links = draw(st.lists(st.tuples(ends, ends, props), max_size=12))
+    return Topology(
+        tuple(NodeSpec(i, "broker") for i in ids),
+        tuple(LinkSpec(a, b, prop, 1e6) for a, b, prop in links),
+    )
+
+
+def bfs_connected(t: Topology) -> bool:
+    """Every node reachable from the first over links whose endpoints are both nodes."""
+    if not t.nodes:
+        return True
+    nbrs = {n.id: set() for n in t.nodes}
+    for link in t.links:
+        if link.endpoint_a in nbrs and link.endpoint_b in nbrs:
+            nbrs[link.endpoint_a].add(link.endpoint_b)
+            nbrs[link.endpoint_b].add(link.endpoint_a)
+    seen = {t.nodes[0].id}
+    frontier = deque(seen)
+    while frontier:
+        for v in nbrs[frontier.popleft()] - seen:
+            seen.add(v)
+            frontier.append(v)
+    return len(seen) == len(nbrs)
+
+
+class TestConnectivity:
+    @settings(max_examples=300)
+    @given(unchecked_topologies())
+    def test_verdict_matches_bfs(self, t):
+        assert ("topology not connected" in validate_topology(t)) == (not bfs_connected(t))

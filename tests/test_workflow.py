@@ -223,7 +223,7 @@ class TestCriticalPathTime:
         reg = StateRegistry()
         for v in sorted(d.vertices):
             if fns[v].state_size > 0 and rng.random() < 0.7:
-                reg.seed("app", v, host=rng.choice([1, 2]), state_size=fns[v].state_size)
+                reg.seed("app", v, host=rng.choice([1, 2]))
         got = critical_path_time(
             d, a, rt, reg, mode, functions=fns, workers=workers, client=0
         )
