@@ -228,7 +228,9 @@ class _Run:
                 merged.append((t, app_idx, app_id, payload, factor))
         merged.sort(key=lambda item: (item[0], item[1]))
         for inv_id, (t, _idx, app_id, payload, factor) in enumerate(merged):
-            self.invocations[inv_id] = InvocationRecord(inv_id, app_id, t, payload, factor)
+            self.invocations[inv_id] = InvocationRecord(
+                inv_id=inv_id, app=app_id, arrival=t, payload=payload, compute_factor=factor
+            )
             self.schedule(t, ARRIVAL, (inv_id,))
 
     # -- transfers ---------------------------------------------------------
@@ -354,7 +356,10 @@ class _Run:
             # A successor is ready once every predecessor has an output, which
             # happens exactly once: on its last predecessor's EXEC_DONE.
             for q in app.succs[fid]:
-                if all(p in outputs for p in app.preds[q]):
+                for p in app.preds[q]:
+                    if p not in outputs:
+                        break
+                else:
                     self.schedule(now, STAGE_READY, (inv_id, q, w))
 
         wr = self.workers[w]

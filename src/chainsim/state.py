@@ -118,7 +118,7 @@ def remote_state_access(
         return ZERO_ACCESS
     legs = _legs(mode, host, exec_node)
     return StateAccess(
-        delay=_access_delay(mode, host, exec_node, f.state_size, rt),
+        delay=_access_delay(legs, f.state_size, rt),
         bytes_moved=len(legs) * f.state_size,
         migration=mode is StateMode.REMOTE_MIGRATE,
         legs=legs,
@@ -144,7 +144,7 @@ def state_delays(
     size = f.state_size
     return rt.memo(
         ("state", host, targets, size, mode),
-        lambda: tuple(0.0 if w == host else _access_delay(mode, host, w, size, rt) for w in targets),
+        lambda: tuple(0.0 if w == host else _access_delay(_legs(mode, host, w), size, rt) for w in targets),
     )
 
 
@@ -162,8 +162,8 @@ def _legs(mode: StateMode, host: int, exec_node: int) -> tuple[tuple[int, int], 
     return ((host, exec_node),)
 
 
-def _access_delay(mode: StateMode, host: int, exec_node: int, size: float, rt: RouteTable) -> float:
+def _access_delay(legs: tuple[tuple[int, int], ...], size: float, rt: RouteTable) -> float:
     delay = 0.0
-    for src, dst in _legs(mode, host, exec_node):
+    for src, dst in legs:
         delay += transfer_delay(rt, src, dst, size)
     return delay

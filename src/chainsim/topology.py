@@ -200,7 +200,7 @@ def validate_topology(t: Topology) -> list[str]:
 
 
 def _adjacency(t: Topology) -> dict[int, list[tuple[int, float, float]]]:
-    """Each node's sorted (neighbour, propagation, rate) list; links with an unknown or repeated endpoint are skipped."""
+    """Sorted (neighbour, propagation, rate) lists per node; skips links with an unknown or repeated end."""
     adj: dict[int, list[tuple[int, float, float]]] = {n.id: [] for n in t.nodes}
     for link in t.links:
         a, b = link.endpoint_a, link.endpoint_b
