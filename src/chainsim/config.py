@@ -49,7 +49,6 @@ class PayloadSpec:
 class AppWorkflow:
     """One application's workflow with derived structure precomputed."""
 
-    app_id: str
     dag: wf.DagSpec
     functions: dict[str, wf.FunctionSpec]
     client: int
@@ -267,7 +266,6 @@ def _parse_workflow(raw: Any, topo: Topology | None, violations: list[str]) -> A
         return None
 
     return AppWorkflow(
-        app_id=app_id,
         dag=dag,
         functions=functions,
         client=client,
@@ -312,9 +310,10 @@ def scenario_from_raw(raw: dict) -> tuple[Scenario | None, list[str]]:
     for wd in raw_workflows or []:
         app = _parse_workflow(wd, topo, violations)
         if app is not None:
-            if app.app_id in apps:
-                violations.append(f"duplicate app_id {app.app_id}")
-            apps[app.app_id] = app
+            app_id = app.dag.app_id
+            if app_id in apps:
+                violations.append(f"duplicate app_id {app_id}")
+            apps[app_id] = app
 
     workload = raw.get("workload")
     rates: dict[str, float] = {}

@@ -67,17 +67,6 @@ class InvocationRecord:
     def latency(self) -> float | None:
         return None if self.completion is None else self.completion - self.arrival
 
-    @property
-    def state_bytes(self) -> float:
-        total = 0.0
-        for rec in self.stages.values():
-            total += rec.state_bytes
-        return total
-
-    @property
-    def migrations(self) -> int:
-        return sum(1 for rec in self.stages.values() if rec.migration)
-
 
 @dataclass
 class MetricsLog:
@@ -87,7 +76,6 @@ class MetricsLog:
     link_bytes: dict[tuple[int, int], float]
     worker_busy: dict[int, float]
     utilization: dict[int, float]
-    total_migrations: int
     injected: int
     completed: int
     in_flight_at_end: int
@@ -187,12 +175,11 @@ class _Run:
         )
         self.heap: list[tuple[float, int, int, tuple]] = []  # (time, seq, kind, data)
         self.seq = count()
-        self.invocations: dict[int, InvocationRecord] = {}
+        self.invocations: list[InvocationRecord] = []  # indexed by inv_id
         self.link_bytes: dict[tuple[int, int], float] = {
             link.pair: 0.0 for link in scenario.topology.links
         }
         self.completed = 0
-        self.migrations = 0
 
     # -- event plumbing ----------------------------------------------------
 
@@ -228,8 +215,8 @@ class _Run:
                 merged.append((t, app_idx, app_id, payload, factor))
         merged.sort(key=lambda item: (item[0], item[1]))
         for inv_id, (t, _idx, app_id, payload, factor) in enumerate(merged):
-            self.invocations[inv_id] = InvocationRecord(
-                inv_id=inv_id, app=app_id, arrival=t, payload=payload, compute_factor=factor
+            self.invocations.append(
+                InvocationRecord(inv_id=inv_id, app=app_id, arrival=t, payload=payload, compute_factor=factor)
             )
             self.schedule(t, ARRIVAL, (inv_id,))
 
@@ -297,7 +284,6 @@ class _Run:
                     self._charge_links(src, dst, f.state_size, rec)
                 if access.migration:
                     self.registry.move(inv.app, fid, w)
-                    self.migrations += 1
         rec.state_delay_s = access.delay
         rec.state_bytes = access.bytes_moved
         rec.migration = access.migration
@@ -401,11 +387,10 @@ class _Run:
             denom = wr.node.cores * end_time
             utilization[wid] = wr.busy_seconds / denom if denom > 0 else 0.0
         return MetricsLog(
-            invocations=[self.invocations[i] for i in sorted(self.invocations)],
+            invocations=self.invocations,
             link_bytes=self.link_bytes,
             worker_busy={wid: wr.busy_seconds for wid, wr in sorted(self.workers.items())},
             utilization=utilization,
-            total_migrations=self.migrations,
             injected=injected,
             completed=self.completed,
             in_flight_at_end=injected - self.completed,

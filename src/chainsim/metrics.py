@@ -1,8 +1,9 @@
 """Run metrics: percentiles, CSV serialization, summary statistics.
 
-Summary statistics are a pure function of the per-invocation rows; the CSV
-round-trips floats exactly (repr formatting), so recomputing a summary from
-invocations.csv reproduces the runner's numbers.
+Each invocation's row is derived once, by ``_invocation_rows``; the summary's
+latency statistics and totals are a fold of those rows in ``inv_id`` order.
+The CSV round-trips floats exactly (repr formatting), so recomputing a
+summary from invocations.csv reproduces the runner's numbers.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .engine import MetricsLog
 
@@ -63,23 +64,21 @@ def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
     return buf.getvalue()
 
 
+def _invocation_rows(m: MetricsLog) -> Iterator[list]:
+    """One ``INVOCATIONS_HEADER`` row per invocation; state bytes are summed in stage order."""
+    for inv in m.invocations:
+        state_bytes = 0.0
+        migrations = 0
+        for rec in inv.stages.values():
+            state_bytes += rec.state_bytes
+            migrations += rec.migration
+        yield [
+            inv.inv_id, inv.app, inv.arrival, inv.completion, inv.latency, len(inv.stages), state_bytes, migrations
+        ]
+
+
 def invocations_csv(m: MetricsLog) -> str:
-    return _csv_text(
-        INVOCATIONS_HEADER,
-        (
-            [
-                inv.inv_id,
-                inv.app,
-                inv.arrival,
-                inv.completion,
-                inv.latency,
-                len(inv.stages),
-                inv.state_bytes,
-                inv.migrations,
-            ]
-            for inv in m.invocations
-        ),
-    )
+    return _csv_text(INVOCATIONS_HEADER, _invocation_rows(m))
 
 
 def links_csv(m: MetricsLog) -> str:
@@ -98,17 +97,21 @@ def plotdata_csv(records: Iterable[Mapping]) -> str:
 
 def summary_record(m: MetricsLog) -> dict:
     """Per-replication summary; latency stats are None when nothing completed."""
-    latencies = [inv.latency for inv in m.invocations if inv.latency is not None]
+    latencies = []
     state_bytes = 0.0
-    for inv in m.invocations:
-        state_bytes += inv.state_bytes
+    migrations = 0
+    for *_, latency, _stages, row_state_bytes, row_migrations in _invocation_rows(m):
+        if latency is not None:
+            latencies.append(latency)
+        state_bytes += row_state_bytes
+        migrations += row_migrations
     record: dict = {
         "injected": m.injected,
         "completed": m.completed,
         "in_flight_at_end": m.in_flight_at_end,
         "throughput_per_s": m.completed / m.horizon,
         "total_state_bytes": state_bytes,
-        "total_migrations": m.total_migrations,
+        "total_migrations": migrations,
         "utilization": {str(wid): m.utilization[wid] for wid in sorted(m.utilization)},
     }
     record.update(_latency_stats(latencies))

@@ -220,8 +220,7 @@ def test_criterion_07_state_properties():
         )
         log = engine.run(_build(raw))
         vectors[mode] = [inv.latency for inv in log.invocations]
-        total_state = sum(inv.state_bytes for inv in log.invocations)
-        assert total_state == 0.0
+        assert metrics.summary_record(log)["total_state_bytes"] == 0.0
     assert vectors["embedded"] == vectors["remote_fixed"] == vectors["remote_migrate"]
 
     # (b) state_local + remote_fixed never moves state bytes
@@ -231,7 +230,7 @@ def test_criterion_07_state_properties():
     )
     log = engine.run(_build(raw))
     assert log.completed > 50
-    assert sum(inv.state_bytes for inv in log.invocations) == 0.0
+    assert metrics.summary_record(log)["total_state_bytes"] == 0.0
 
     # (c) pinned two-worker ping-pong: exactly two invocations, round robin
     # sends them to w1 then w2; fixed pays fetch+writeback where migrate
@@ -244,7 +243,7 @@ def test_criterion_07_state_properties():
         )
         log = engine.run(_build(raw, explicit={"app": [0.0, 1.0]}))
         assert log.injected == 2
-        totals[mode] = sum(inv.state_bytes for inv in log.invocations)
+        totals[mode] = metrics.summary_record(log)["total_state_bytes"]
     assert totals["remote_migrate"] == size
     assert totals["remote_fixed"] == 2 * size
     assert totals["remote_fixed"] == 2 * totals["remote_migrate"]

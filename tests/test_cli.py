@@ -22,6 +22,7 @@ VALID = [
     "diamond_dag.json",
     "mm1.json",
     "multi_app.json",
+    "edge_mesh.json",
 ]
 INVALID = [
     "invalid_disconnected.json",
@@ -64,6 +65,13 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "error: workflow diamond: edge (ghost,merge) references unknown vertex ghost" in err
         assert "Traceback" not in err
+
+    def test_duplicate_app_id_is_a_config_error(self, tmp_path, capsys):
+        raw = load_json(CONFIGS / "multi_app.json")
+        first = raw["workflows"][0]["app_id"]
+        raw["workflows"][1]["app_id"] = first
+        assert main(["validate", str(write_config(tmp_path, raw))]) == 1
+        assert f"error: duplicate app_id {first}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "chain, errors",
@@ -358,26 +366,48 @@ class TestConsoleScript:
         assert "OK" in proc.stdout
 
 
+def summary_mismatches(out: Path, horizons: dict[int, float]) -> tuple[list, int]:
+    """Every (point, replication, key) whose summary.json value is not exactly the fold of its rows.
+
+    ``horizons`` maps each point to its horizon; also returns the number of records.
+    """
+    records = json.loads((out / "summary.json").read_text())["records"]
+    bad = []
+    for record in records:
+        p, r = record["point"], record["replication"]
+        point_dir = out if record["swept_field"] is None else out / f"point_{p:03d}"
+        with open(point_dir / f"rep_{r:03d}" / "invocations.csv", newline="") as fh:
+            recomputed = summary_from_rows(csv.DictReader(fh), horizon=horizons[p])
+        bad += [(p, r, key) for key, value in recomputed.items() if record[key] != value]
+    return bad, len(records)
+
+
 class TestSummaryRecompute:
+    """summary.json totals and latency statistics are exactly the fold of invocations.csv."""
+
     def test_offline_recompute_matches(self, tmp_path):
         cfg_raw = chain_scenario_raw(rate=30.0, horizon=3.0, replications=2, state_size=2000.0,
                                      policy="round_robin", state_mode="remote_migrate")
         cfg = write_config(tmp_path, cfg_raw)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
-        doc = json.loads((out / "summary.json").read_text())
+        assert summary_mismatches(out, {0: cfg_raw["workload"]["horizon"]}) == ([], 2)
 
-        for r, record in enumerate(doc["records"]):
-            with open(out / f"rep_{r:03d}" / "invocations.csv", newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            recomputed = summary_from_rows(rows, horizon=cfg_raw["workload"]["horizon"])
-            for key, value in recomputed.items():
-                if value is None:
-                    assert record[key] is None
-                elif isinstance(value, float):
-                    assert record[key] == pytest.approx(value, abs=1e-9)
-                else:
-                    assert record[key] == value
+    @pytest.mark.parametrize("name", [*VALID, "sweep_rates.json"])
+    def test_bundled_summaries_are_row_folds(self, name, tmp_path):
+        path = CONFIGS / name
+        out = tmp_path / "out"
+        if name == "sweep_rates.json":
+            sweep, errs = sweep_from_raw(load_json(path), base_dir=CONFIGS)
+            assert not errs and main(["sweep", str(path), "--out", str(out)]) == 0
+            scenarios = sweep.scenarios
+        else:
+            scenario, errs = scenario_from_raw(load_json(path))
+            assert not errs and main(["run", str(path), "--out", str(out)]) == 0
+            scenarios = [scenario]
+        bad, n_records = summary_mismatches(out, {p: sc.horizon for p, sc in enumerate(scenarios)})
+        assert bad == []
+        assert n_records == sum(sc.replications for sc in scenarios)
 
 
 class TestQueueingMonotonicity:

@@ -306,6 +306,36 @@ class TestMD1:
         assert half < 0.1 * expected  # the interval is narrow enough to mean something
 
 
+class TestMMc:
+    def test_sojourn_matches_erlang_c(self):
+        # configs/mm1.json with 4 cores and exponential 1 s service: M/M/4 at
+        # rho = 0.8. Mean sojourn 1/mu + C(c, a) / (c mu - lam), a = lam/mu,
+        # with C the Erlang-C probability of waiting. The seed is the config's.
+        lam, mu, c = 3.2, 1.0, 4
+        raw = load_json(CONFIGS / "mm1.json")
+        raw["topology"]["nodes"][1]["cores"] = c
+        raw["workload"]["compute_randomization"] = True
+        raw["workload"]["rates"]["mm1"] = lam
+        raw["workload"]["horizon"] = 25_000.0
+        log = engine.run(build(raw))
+        assert log.completed == log.injected > 75_000
+
+        latencies = [inv.latency for inv in log.invocations][2_000:]  # warm-up dropped
+        n_batches = 20
+        size = len(latencies) // n_batches
+        means = [math.fsum(latencies[i * size:(i + 1) * size]) / size for i in range(n_batches)]
+        grand = math.fsum(means) / n_batches
+        sd = math.sqrt(math.fsum((m - grand) ** 2 for m in means) / (n_batches - 1))
+        half = T_999_19 * sd / math.sqrt(n_batches)
+        a = lam / mu
+        tail = a**c / math.factorial(c) * c / (c - a)
+        erlang_c = tail / (math.fsum(a**k / math.factorial(k) for k in range(c)) + tail)
+        expected = 1.0 / mu + erlang_c / (c * mu - lam)
+        assert expected == pytest.approx(1.7455, abs=1e-4)
+        assert grand - half <= expected <= grand + half, (grand, half, expected)
+        assert half < 0.15 * expected  # the interval is narrow enough to mean something
+
+
 def rescan_backlog(wr, now):
     """Reference backlog: the queue summed from scratch, then the busy cores."""
     pending = math.fsum(job[4] for job, _t_enq in wr.queue)
@@ -419,7 +449,7 @@ class TestMinLatencyAgainstReference:
         with monkeypatch.context() as m:
             m.setattr(engine, "choose_worker", reference_chooser)
             expected = engine.run(sc)
-        assert expected.total_migrations > 0 or mode != "remote_migrate"
+        assert metrics.summary_record(expected)["total_migrations"] > 0 or mode != "remote_migrate"
         assert engine.run(sc) == expected  # the route table's memo fills
         assert engine.run(sc) == expected  # and is reused by the next run
 
