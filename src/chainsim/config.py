@@ -84,7 +84,10 @@ class Scenario:
 
 def load_json(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nesting is too deep") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top-level JSON value must be an object")
     return doc

@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from . import state as state_mod
-from .state import StateMode, StateRegistry
+from .state import StateMode
 from .topology import NodeSpec, RouteTable
 from .workflow import FunctionSpec, stage_io
 
@@ -41,19 +41,20 @@ class DispatchContext:
     ``backlog`` maps candidate workers to pending operations: the exact,
     correctly rounded total of the worker's queued ops plus the remaining ops
     of each busy core. Policies outside ``BACKLOG_POLICIES`` (``random`` and
-    ``round_robin``) receive an empty mapping. The registry is read-only here;
-    the rng stream is policy-private.
+    ``round_robin``) receive an empty mapping. ``state_host`` is where the
+    engine's registry holds the function's state, or None in embedded mode,
+    for a stateless function and while unplaced. The rng stream is private.
 
     The engine builds one context per run and mutates it between decisions
-    (``app_id``, ``payload_location`` and the values of ``backlog``), so a
-    policy must not keep the context or its ``backlog`` mapping past the
-    call. ``workers`` is fixed once the context is built.
+    (``app_id``, ``state_host``, ``payload_location`` and the values of
+    ``backlog``), so a policy must not keep the context or its ``backlog``
+    mapping past the call. ``workers`` is fixed once the context is built.
     """
 
     app_id: str
     candidate_workers: tuple[int, ...]
     backlog: Mapping[int, float]
-    registry: StateRegistry
+    state_host: int | None
     routes: RouteTable
     payload_location: int
     rng: np.random.Generator
@@ -87,9 +88,9 @@ def estimate_completion(
 ) -> float:
     """Predicted completion time of this stage on worker ``w``.
 
-    Input transfer (with embedded state overhead) + state access from the
-    current registry (no migration applied; the estimate is a prediction, not
-    a commitment) + backlog drain + stage compute. In-flight network
+    Input transfer (with embedded state overhead) + state access from
+    ``ctx.state_host`` (no migration applied; the estimate is a prediction,
+    not a commitment) + backlog drain + stage compute. In-flight network
     transfers toward ``w`` are not visible to the dispatcher and are ignored.
     """
     return _estimates(ctx, f, (w,), input_bytes, mode)[0]
@@ -113,7 +114,7 @@ def _estimates(
     nbytes = state_mod.stage_transfer_bytes(input_bytes, None, f, mode)
     classes, class_of = ctx.routes.hop_classes(ctx.payload_location, targets)
     class_xfer = [route.delay(nbytes) for route in classes]
-    state = state_mod.state_delays(mode, ctx.registry, ctx.app_id, f, targets, ctx.routes)
+    state = state_mod.state_delays(mode, ctx.state_host, f, targets, ctx.routes)
     backlog, speeds = ctx.backlog, ctx.speeds
     estimates = []
     for w, c, state_delay in zip(targets, class_of, state):
@@ -145,9 +146,8 @@ def choose_worker(
         return _least_loaded(ctx)
 
     if policy is PolicyKind.STATE_LOCAL:
-        host = ctx.registry.get(ctx.app_id, f.id)
-        if host in candidates:
-            return host
+        if ctx.state_host in candidates:
+            return ctx.state_host
         return _least_loaded(ctx)
 
     if policy is PolicyKind.MIN_LATENCY_ESTIMATE:

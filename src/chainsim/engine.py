@@ -157,12 +157,12 @@ class _Run:
         self.registry = StateRegistry()
         self.rr = RrState()
         # One context serves every decision of the run: each dispatch sets the
-        # app, the payload's node and, for policies that read it, the backlog.
+        # app, state host, payload node and, for policies that read it, backlog.
         self.ctx = DispatchContext(
             app_id="",
             candidate_workers=scenario.candidates,
             backlog={},
-            registry=self.registry,
+            state_host=None,
             routes=self.routes,
             payload_location=-1,
             rng=wl.substream(seed, wl.STREAM_POLICY),
@@ -261,8 +261,15 @@ class _Run:
         preds = app.preds[fid]
         input_bytes = vertex_input_bytes(preds, inv.outputs, inv.payload)
 
+        # State is resolved at dispatch time from one registry read, which the
+        # policy sees too: first touch seeds the host at the chosen worker for
+        # free, later touches pay the mode's cost and a migration moves the
+        # host to the executor at once.
+        stateful = self.remote and f.state_size > 0
+        host = self.registry.get(inv.app, fid) if stateful else None
         ctx = self.ctx
         ctx.app_id = inv.app
+        ctx.state_host = host
         ctx.payload_location = at_node
         backlog = ctx.backlog
         for wid, wr in self.backlog_runtimes:
@@ -271,19 +278,15 @@ class _Run:
         rec = StageRecord(worker=w, dispatch_time=now)
         inv.stages[fid] = rec
 
-        # State is resolved at dispatch time: first touch seeds the host at
-        # the chosen worker for free, later touches pay the mode's cost and
-        # a migration moves the host to the executor at once.
         access = state_mod.ZERO_ACCESS
-        if self.remote and f.state_size > 0:
-            if self.registry.get(inv.app, fid) is None:
-                self.registry.seed(inv.app, fid, w)
-            else:
-                access = remote_state_access(self.mode, self.registry, inv.app, f, w, self.routes)
-                for src, dst in access.legs:
-                    self._charge_links(src, dst, f.state_size, rec)
-                if access.migration:
-                    self.registry.move(inv.app, fid, w)
+        if host is not None:
+            access = remote_state_access(self.mode, host, f, w, self.routes)
+            for src, dst in access.legs:
+                self._charge_links(src, dst, f.state_size, rec)
+            if access.migration:
+                self.registry.move(inv.app, fid, w)
+        elif stateful:
+            self.registry.seed(inv.app, fid, w)
         rec.state_delay_s = access.delay
         rec.state_bytes = access.bytes_moved
         rec.migration = access.migration

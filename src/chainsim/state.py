@@ -99,13 +99,12 @@ def stage_transfer_bytes(
 
 def remote_state_access(
     mode: StateMode,
-    reg: StateRegistry,
-    app_id: str,
+    host: int | None,
     f: "FunctionSpec",
     exec_node: int,
     rt: RouteTable,
 ) -> StateAccess:
-    """Cost of making f's state available at ``exec_node``, as decided at dispatch.
+    """Cost of making f's state, held at ``host`` (None: unplaced), available at ``exec_node``.
 
     Free in embedded mode, for stateless functions, for state not yet placed
     (the first dispatch places it at the executor) and for co-located
@@ -113,8 +112,7 @@ def remote_state_access(
     host and remote_migrate pays a single transfer to the executor. Pure:
     the caller records a migration with ``StateRegistry.move``.
     """
-    host = _priced_host(mode, reg, app_id, f)
-    if host is None or host == exec_node:
+    if _free(mode, host, f) or host == exec_node:
         return ZERO_ACCESS
     legs = _legs(mode, host, exec_node)
     return StateAccess(
@@ -127,8 +125,7 @@ def remote_state_access(
 
 def state_delays(
     mode: StateMode,
-    reg: StateRegistry,
-    app_id: str,
+    host: int | None,
     f: "FunctionSpec",
     targets: tuple[int, ...],
     rt: RouteTable,
@@ -138,8 +135,7 @@ def state_delays(
     Routes and state sizes are static, so the vector is memoized on ``rt``
     per ``(host, targets, state_size, mode)``.
     """
-    host = _priced_host(mode, reg, app_id, f)
-    if host is None:
+    if _free(mode, host, f):
         return (0.0,) * len(targets)
     size = f.state_size
     return rt.memo(
@@ -148,11 +144,9 @@ def state_delays(
     )
 
 
-def _priced_host(mode: StateMode, reg: StateRegistry, app_id: str, f: "FunctionSpec") -> int | None:
-    """Host of f's state when an access away from it has a cost, else None."""
-    if not mode.is_remote or f.state_size == 0:
-        return None
-    return reg.get(app_id, f.id)
+def _free(mode: StateMode, host: int | None, f: "FunctionSpec") -> bool:
+    """Whether an access is free: in embedded mode, for stateless functions and for unplaced state."""
+    return host is None or not mode.is_remote or f.state_size == 0
 
 
 def _legs(mode: StateMode, host: int, exec_node: int) -> tuple[tuple[int, int], ...]:

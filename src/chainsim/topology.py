@@ -23,6 +23,7 @@ ROLE_CLIENT = "client"
 ROLE_BROKER = "broker"
 ROLE_WORKER = "worker"
 ROLES = (ROLE_CLIENT, ROLE_BROKER, ROLE_WORKER)
+MAX_CORES = 4096  # the engine keeps one busy-until time per core
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,8 @@ def validate_topology(t: Topology) -> list[str]:
         elif n.role == ROLE_WORKER:
             if n.cores < 1:
                 violations.append(f"worker {n.id} must have cores >= 1")
+            elif n.cores > MAX_CORES:
+                violations.append(f"worker {n.id} must have cores <= {MAX_CORES}")
             if n.core_speed <= 0:
                 violations.append(f"worker {n.id} must have core_speed > 0")
         else:

@@ -242,7 +242,7 @@ def critical_path_time(
                 )
                 for p in preds[v]
             )
-        access = state_mod.remote_state_access(mode, reg, d.app_id, f, w, rt)
+        access = state_mod.remote_state_access(mode, reg.get(d.app_id, v), f, w, rt)
         t = arrived + access.delay
         compute_ops, out_bytes = stage_io(f, input_bytes)
         t += compute_ops / workers[w].core_speed

@@ -158,7 +158,7 @@ def enumerate_critical_path(
         input_bytes = vertex_input_bytes(preds[v], outputs, entry)
         compute_ops, out_bytes = stage_io(f, input_bytes)
         outputs[v] = out_bytes
-        access = remote_state_access(mode, reg, dag.app_id, f, assignment[v], routes)
+        access = remote_state_access(mode, reg.get(dag.app_id, v), f, assignment[v], routes)
         vertex_cost[v] = (access.delay, compute_ops / workers[assignment[v]].core_speed)
         if preds[v]:
             inbound[v] = max(
@@ -212,7 +212,7 @@ def reference_estimate(ctx, f, w, input_bytes, mode) -> float:
 
     spec = ctx.workers[w]
     est = transfer_delay(ctx.routes, ctx.payload_location, w, stage_transfer_bytes(input_bytes, None, f, mode))
-    est += remote_state_access(mode, ctx.registry, ctx.app_id, f, w, ctx.routes).delay
+    est += remote_state_access(mode, ctx.state_host, f, w, ctx.routes).delay
     compute_ops, _ = stage_io(f, input_bytes)
     est += ctx.backlog.get(w, 0.0) / (spec.cores * spec.core_speed)
     est += compute_ops / spec.core_speed
@@ -260,6 +260,24 @@ def summary_from_rows(rows, horizon: float) -> dict:
         total += x
     record["mean_latency_s"] = total / len(latencies) if latencies else None
     return record
+
+
+# Two-sided 99.9% quantile of Student's t with 19 degrees of freedom.
+T_999_19 = 3.8834
+
+
+def batch_means_interval(samples: list[float]) -> tuple[float, float]:
+    """(grand mean, half-width) of the 99.9% t-interval over 20 batch means of ``samples``.
+
+    The batches are consecutive and of equal size; the last ``len % 20``
+    samples are left out.
+    """
+    n_batches = 20
+    size = len(samples) // n_batches
+    means = [math.fsum(samples[i * size:(i + 1) * size]) / size for i in range(n_batches)]
+    grand = math.fsum(means) / n_batches
+    sd = math.sqrt(math.fsum((m - grand) ** 2 for m in means) / (n_batches - 1))
+    return grand, T_999_19 * sd / math.sqrt(n_batches)
 
 
 # -- scenario documents -------------------------------------------------------

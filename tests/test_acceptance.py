@@ -286,7 +286,7 @@ def test_criterion_08_policy_oracle():
             app_id="app",
             candidate_workers=candidates,
             backlog=backlog,
-            registry=reg,
+            state_host=reg.get("app", "f"),
             routes=rt,
             payload_location=0,
             rng=np.random.default_rng(k),
@@ -319,7 +319,7 @@ def test_criterion_09_statistical_sanity():
         app_id="app",
         candidate_workers=tuple(range(1, n_candidates + 1)),
         backlog={w: 0.0 for w in range(1, n_candidates + 1)},
-        registry=StateRegistry(),
+        state_host=None,
         routes=rt,
         payload_location=0,
         rng=np.random.default_rng(909),
@@ -342,7 +342,7 @@ def test_criterion_09_statistical_sanity():
             app_id="app",
             candidate_workers=sub,
             backlog={w: 0.0 for w in sub},
-            registry=StateRegistry(),
+            state_host=None,
             routes=rt,
             payload_location=0,
             rng=np.random.default_rng(0),

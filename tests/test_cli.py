@@ -58,6 +58,29 @@ class TestValidate:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["validate", str(bad)]) == 1
 
+    def test_deeply_nested_json_exit_one(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        assert main(["validate", str(deep)]) == 1
+        assert main(["describe", str(deep)]) == 1
+        assert main(["run", str(deep), "--out", str(tmp_path / "out")]) == 1
+        sweep = write_config(tmp_path, {"base": "deep.json", "field": "policy", "values": ["random"]}, "sweep.json")
+        assert main(["sweep", str(sweep), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("JSON nesting is too deep") == 4
+        assert "cannot load base config 'deep.json'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cores", [10**30, 4097])
+    def test_too_many_cores_exit_one(self, cores, tmp_path, capsys):
+        raw = chain_scenario_raw()
+        raw["topology"]["nodes"][1]["cores"] = cores
+        cfg = write_config(tmp_path, raw)
+        assert main(["validate", str(cfg)]) == 1
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.count("worker 1 must have cores <= 4096") == 2
+        assert not (tmp_path / "out").exists()
+
     def test_edge_from_unknown_vertex_is_a_config_error(self, tmp_path, capsys):
         raw = load_json(CONFIGS / "diamond_dag.json")
         raw["workflows"][0]["dag"]["edges"].append(["ghost", "merge"])

@@ -46,7 +46,7 @@ def make_ctx(
         app_id="app",
         candidate_workers=cands,
         backlog=backlog or {w: 0.0 for w in cands},
-        registry=registry or StateRegistry(),
+        state_host=None if registry is None else registry.get("app", "f"),
         routes=rt,
         payload_location=payload_location,
         rng=np.random.default_rng(seed),

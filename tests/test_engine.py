@@ -14,7 +14,13 @@ from chainsim.state import StateMode, StateRegistry
 from chainsim.topology import NodeSpec
 from chainsim.workflow import critical_path_time
 
-from helpers import chain_scenario_raw, random_chain_scenario_raw, random_dag_scenario_raw, reference_choice
+from helpers import (
+    batch_means_interval,
+    chain_scenario_raw,
+    random_chain_scenario_raw,
+    random_dag_scenario_raw,
+    reference_choice,
+)
 
 ALL_POLICIES = ["random", "round_robin", "least_loaded", "state_local", "min_latency_estimate"]
 ALL_MODES = ["embedded", "remote_fixed", "remote_migrate"]
@@ -275,10 +281,6 @@ class TestComputeRandomization:
         assert mean == pytest.approx(2.0, rel=0.10)
 
 
-# Two-sided 99.9% quantile of Student's t with 19 degrees of freedom.
-T_999_19 = 3.8834
-
-
 class TestMD1:
     def test_sojourn_matches_pollaczek_khinchine(self):
         # configs/mm1.json with constant 1 s service: M/D/1 at rho = 0.7,
@@ -295,12 +297,7 @@ class TestMD1:
         assert completions == sorted(completions)
 
         latencies = [inv.latency for inv in log.invocations][2_000:]  # warm-up dropped
-        n_batches = 20
-        size = len(latencies) // n_batches
-        means = [math.fsum(latencies[i * size:(i + 1) * size]) / size for i in range(n_batches)]
-        grand = math.fsum(means) / n_batches
-        sd = math.sqrt(math.fsum((m - grand) ** 2 for m in means) / (n_batches - 1))
-        half = T_999_19 * sd / math.sqrt(n_batches)
+        grand, half = batch_means_interval(latencies)
         expected = 1.0 / mu + lam / (2.0 * mu * (1.0 - lam))
         assert grand - half <= expected <= grand + half, (grand, half, expected)
         assert half < 0.1 * expected  # the interval is narrow enough to mean something
@@ -321,12 +318,7 @@ class TestMMc:
         assert log.completed == log.injected > 75_000
 
         latencies = [inv.latency for inv in log.invocations][2_000:]  # warm-up dropped
-        n_batches = 20
-        size = len(latencies) // n_batches
-        means = [math.fsum(latencies[i * size:(i + 1) * size]) / size for i in range(n_batches)]
-        grand = math.fsum(means) / n_batches
-        sd = math.sqrt(math.fsum((m - grand) ** 2 for m in means) / (n_batches - 1))
-        half = T_999_19 * sd / math.sqrt(n_batches)
+        grand, half = batch_means_interval(latencies)
         a = lam / mu
         tail = a**c / math.factorial(c) * c / (c - a)
         erlang_c = tail / (math.fsum(a**k / math.factorial(k) for k in range(c)) + tail)
@@ -452,6 +444,34 @@ class TestMinLatencyAgainstReference:
         assert metrics.summary_record(expected)["total_migrations"] > 0 or mode != "remote_migrate"
         assert engine.run(sc) == expected  # the route table's memo fills
         assert engine.run(sc) == expected  # and is reused by the next run
+
+
+class TestStateRegistryReads:
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("mode", ["remote_fixed", "remote_migrate"])
+    def test_one_read_per_stateful_dispatch(self, policy, mode, monkeypatch):
+        # The engine reads a stateful function's host once per dispatch and
+        # hands it to the policy and the state access; nothing else reads it.
+        raw = load_json(CONFIGS / "two_worker_chain.json")
+        raw["policy"], raw["state_mode"] = policy, mode
+        sc = build(raw)
+        reads = []
+        get = StateRegistry.get
+
+        def counting_get(reg, app_id, function_id):
+            reads.append((app_id, function_id))
+            return get(reg, app_id, function_id)
+
+        monkeypatch.setattr(StateRegistry, "get", counting_get)
+        log = engine.run(sc)
+        stateful = [
+            (inv.app, fid)
+            for inv in log.invocations
+            for fid in inv.stages
+            if sc.apps[inv.app].functions[fid].state_size > 0
+        ]
+        assert len(stateful) > 1000
+        assert sorted(reads) == sorted(stateful)
 
 
 class TestEngineErrors:

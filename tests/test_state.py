@@ -60,14 +60,14 @@ class TestRemoteStateAccess:
     def test_colocated_is_free(self, net):
         reg = StateRegistry()
         reg.seed("app", "f", host=1)
-        access = remote_state_access(StateMode.REMOTE_FIXED, reg, "app", stateful(), 1, net)
+        access = remote_state_access(StateMode.REMOTE_FIXED, reg.get("app", "f"), stateful(), 1, net)
         assert access == StateAccess(0.0, 0.0)
 
     def test_fixed_pays_fetch_and_writeback(self, net):
         # one hop (1 ms, 1e6 B/s), 1000 B each way: 2 * (0.001 + 0.001)
         reg = StateRegistry()
         reg.seed("app", "f", host=1)
-        access = remote_state_access(StateMode.REMOTE_FIXED, reg, "app", stateful(), 2, net)
+        access = remote_state_access(StateMode.REMOTE_FIXED, reg.get("app", "f"), stateful(), 2, net)
         assert access.delay == pytest.approx(0.004, abs=1e-15)
         assert access.bytes_moved == 2000.0
         assert not access.migration
@@ -75,7 +75,7 @@ class TestRemoteStateAccess:
     def test_migrate_pays_single_transfer(self, net):
         reg = StateRegistry()
         reg.seed("app", "f", host=1)
-        access = remote_state_access(StateMode.REMOTE_MIGRATE, reg, "app", stateful(), 2, net)
+        access = remote_state_access(StateMode.REMOTE_MIGRATE, reg.get("app", "f"), stateful(), 2, net)
         assert access.delay == pytest.approx(0.002, abs=1e-15)
         assert access.bytes_moved == 1000.0
         assert access.migration
@@ -84,23 +84,23 @@ class TestRemoteStateAccess:
     def test_fixed_bytes_double_migrate_bytes(self, net):
         reg = StateRegistry()
         reg.seed("app", "f", host=1)
-        fixed = remote_state_access(StateMode.REMOTE_FIXED, reg, "app", stateful(777.0), 2, net)
-        migrate = remote_state_access(StateMode.REMOTE_MIGRATE, reg, "app", stateful(777.0), 2, net)
+        fixed = remote_state_access(StateMode.REMOTE_FIXED, reg.get("app", "f"), stateful(777.0), 2, net)
+        migrate = remote_state_access(StateMode.REMOTE_MIGRATE, reg.get("app", "f"), stateful(777.0), 2, net)
         assert fixed.bytes_moved == 2 * migrate.bytes_moved
 
     def test_missing_entry_is_cold_start(self, net):
         # State not yet placed is placed at the executor by the first dispatch.
-        access = remote_state_access(StateMode.REMOTE_MIGRATE, StateRegistry(), "app", stateful(), 2, net)
+        access = remote_state_access(StateMode.REMOTE_MIGRATE, None, stateful(), 2, net)
         assert access == StateAccess(0.0, 0.0)
 
     def test_stateless_has_no_cost(self, net):
-        access = remote_state_access(StateMode.REMOTE_FIXED, StateRegistry(), "app", stateful(0.0), 1, net)
+        access = remote_state_access(StateMode.REMOTE_FIXED, 2, stateful(0.0), 1, net)
         assert access == StateAccess(0.0, 0.0)
 
     def test_embedded_mode_has_no_cost(self, net):
         reg = StateRegistry()
         reg.seed("app", "f", host=1)
-        access = remote_state_access(StateMode.EMBEDDED, reg, "app", stateful(), 2, net)
+        access = remote_state_access(StateMode.EMBEDDED, reg.get("app", "f"), stateful(), 2, net)
         assert access == StateAccess(0.0, 0.0)
 
 
@@ -112,7 +112,7 @@ class TestStateAccessLegs:
         reg = StateRegistry()
         if case != "unplaced":
             reg.seed("app", "f", host=1)
-        access = remote_state_access(mode, reg, "app", f, 1 if case == "colocated" else 2, net)
+        access = remote_state_access(mode, reg.get("app", "f"), f, 1 if case == "colocated" else 2, net)
         crossings = {StateMode.REMOTE_FIXED: ((1, 2), (2, 1)), StateMode.REMOTE_MIGRATE: ((1, 2),)}
         assert access.legs == (crossings.get(mode, ()) if case == "away" else ())
         assert access.bytes_moved == len(access.legs) * f.state_size

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from chainsim.config import load_json, scenario_from_raw
 from chainsim.topology import (
+    MAX_CORES,
     LinkSpec,
     NodeSpec,
     Topology,
@@ -52,6 +53,13 @@ class TestValidateTopology:
         violations = validate_topology(t)
         assert "worker 1 must have cores >= 1" in violations
         assert "worker 1 must have core_speed > 0" in violations
+
+    def test_worker_cores_are_capped(self):
+        def violations(cores):
+            return validate_topology(make_topology([(0, "client"), (1, "worker", cores, 1e6)], [(0, 1, 0.001, 1e6)]))
+
+        assert violations(MAX_CORES) == []
+        assert violations(MAX_CORES + 1) == [f"worker 1 must have cores <= {MAX_CORES}"]
 
     def test_client_must_not_compute(self):
         t = make_topology([(0, "client", 2, 1e6), (1, "worker", 1, 1e6)], [(0, 1, 0.001, 1e6)])
