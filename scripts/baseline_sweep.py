@@ -11,7 +11,6 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 from chainsim.config import load_json, sweep_from_raw
-from chainsim.metrics import summary_record
 from chainsim.runner import run_sweep
 
 
@@ -35,10 +34,10 @@ def main() -> int:
 
     print(f"{'rate':>8} {'seed':>6} {'completed':>9} {'mean_lat_s':>12} {'p95_lat_s':>12} {'util':>8}")
     for res in results:
-        rec = summary_record(res.log)
+        rec = res.record
         util = max(rec["utilization"].values())
         print(
-            f"{res.swept_value:>8} {res.seed:>6} {rec['completed']:>9}"
+            f"{rec['swept_value']:>8} {rec['seed']:>6} {rec['completed']:>9}"
             f" {rec['mean_latency_s']:>12.6f} {rec['p95_latency_s']:>12.6f} {util:>8.3f}"
         )
     print(f"\nwrote CSVs and summary.json under {args.out}")

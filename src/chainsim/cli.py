@@ -106,13 +106,14 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     print("workflows:")
     for app_id in sorted(scenario.apps):
         app = scenario.apps[app_id]
-        kind = "chain" if len(app.dag.edges) == len(app.dag.vertices) - 1 and all(
-            len(ps) <= 1 for ps in app.preds.values()
+        dag = app.dag
+        kind = "chain" if len(dag.edges) == len(dag.vertices) - 1 and all(
+            len(ps) <= 1 for ps in dag.preds.values()
         ) else "dag"
         print(
-            f"  {app_id}: {kind} with {len(app.dag.vertices)} function(s),"
-            f" source={app.source} sink={app.sink}"
-            f" client={app.client} entry_payload={app.dag.entry_payload!r}"
+            f"  {app_id}: {kind} with {len(dag.vertices)} function(s),"
+            f" source={dag.source} sink={dag.sink}"
+            f" client={app.client} entry_payload={dag.entry_payload!r}"
         )
         for fid in sorted(app.functions):
             f = app.functions[fid]
@@ -120,7 +121,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
                 f"    {fid}: fixed_ops={f.fixed_ops!r} ops_per_byte={f.ops_per_byte!r}"
                 f" output_ratio={f.output_ratio!r} state_size={f.state_size!r}"
             )
-        for p, q in sorted(app.dag.edges):
+        for p, q in sorted(dag.edges):
             print(f"    edge {p} -> {q}")
     print(
         f"policy={scenario.policy.value} state_mode={scenario.state_mode.value}"

@@ -9,7 +9,6 @@ can report all problems at once.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass
@@ -47,15 +46,11 @@ class PayloadSpec:
 
 @dataclass
 class AppWorkflow:
-    """One application's workflow with derived structure precomputed."""
+    """One application's workflow: its DAG, its functions by id and its client node."""
 
     dag: wf.DagSpec
     functions: dict[str, wf.FunctionSpec]
     client: int
-    source: str
-    sink: str
-    preds: dict[str, tuple[str, ...]]
-    succs: dict[str, tuple[str, ...]]
 
 
 @dataclass
@@ -253,9 +248,8 @@ def _parse_workflow(raw: Any, topo: Topology | None, violations: list[str]) -> A
             errs.append(f"duplicate function {v} in chain")
         seen.add(v)
     dag = wf.DagSpec(app_id, frozenset(vertices), frozenset(edges), entry_payload)
-    preds, succs = maps = wf.neighbour_maps(dag)
     if len(seen) == len(vertices):  # a repeated chain stage is reported as such, not as its cycle
-        errs.extend(wf.validate_dag(dag, maps))
+        errs.extend(wf.validate_dag(dag))
     if errs:
         violations.extend(f"{tag}: {e}" for e in errs)
         return None
@@ -268,15 +262,7 @@ def _parse_workflow(raw: Any, topo: Topology | None, violations: list[str]) -> A
         violations.append(f"{tag}: client must be the id of a client node")
         return None
 
-    return AppWorkflow(
-        dag=dag,
-        functions=functions,
-        client=client,
-        source=wf.dag_end(preds),
-        sink=wf.dag_end(succs),
-        preds=preds,
-        succs=succs,
-    )
+    return AppWorkflow(dag=dag, functions=functions, client=client)
 
 
 def _parse_payload(raw: Any, violations: list[str]) -> PayloadSpec:
@@ -401,6 +387,15 @@ class SweepSpec:
     scenarios: list[Scenario]  # the built scenario of each value, in order
 
 
+def _own(parent: dict | None, key: str, kind: type) -> Any:
+    """A shallow copy of ``parent[key]``, put in its place, if that is a ``kind``; else None."""
+    value = parent.get(key) if parent is not None else None
+    if not isinstance(value, kind):
+        return None
+    parent[key] = value = kind(value)
+    return value
+
+
 def sweep_from_raw(raw: dict, base_dir: Path | None = None) -> tuple[SweepSpec | None, list[str]]:
     """Parse and validate a sweep document and build the scenario of every point."""
     violations: list[str] = []
@@ -417,25 +412,25 @@ def sweep_from_raw(raw: dict, base_dir: Path | None = None) -> tuple[SweepSpec |
         return None, ["sweep.base must be a config object or a path to one"]
 
     fieldname = raw.get("field")
-    base = copy.deepcopy(base)  # each point sets the swept field in place, then builds
+    # Each point sets the swept field in place, then builds; only the containers
+    # on the swept path are copied, so the caller's document stays unchanged.
+    base = dict(base)
     if fieldname in ("policy", "state_mode"):
         targets = [(base, fieldname)]
     elif fieldname == "arrival_rate":
-        workload = base.get("workload")
-        rates = workload.get("rates") if isinstance(workload, dict) else None
-        targets = [(rates, app_id) for app_id in rates] if isinstance(rates, dict) else []
+        rates = _own(_own(base, "workload", dict), "rates", dict)
+        targets = [(rates, app_id) for app_id in rates] if rates is not None else []
     elif isinstance(fieldname, str) and fieldname.startswith("link_rate:"):
         try:
             a, b = (int(x) for x in fieldname.split(":", 1)[1].split("-"))
         except ValueError:
             return None, [f"malformed link_rate field {fieldname!r}"]
-        topo = base.get("topology")
-        links = topo.get("links") if isinstance(topo, dict) else None
-        targets = [
-            (lk, "rate")
-            for lk in (links if isinstance(links, list) else [])
-            if isinstance(lk, dict) and (lk.get("endpoint_a"), lk.get("endpoint_b")) in ((a, b), (b, a))
-        ]
+        links = _own(_own(base, "topology", dict), "links", list) or []
+        targets = []
+        for i, lk in enumerate(links):
+            if isinstance(lk, dict) and (lk.get("endpoint_a"), lk.get("endpoint_b")) in ((a, b), (b, a)):
+                links[i] = dict(lk)
+                targets.append((links[i], "rate"))
         if not targets:
             # scenario validation cannot tell that the swept value went nowhere
             return None, [f"sweep field {fieldname!r} matches no link"]

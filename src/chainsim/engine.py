@@ -114,7 +114,10 @@ class WorkerRuntime:
     def enqueue(self, job: Job, t_enq: float) -> None:
         self.queue.append((job, t_enq))
         self.queued_units += _exact_units(job[4])
-        self.queued_ops = self.queued_units / _ULP_SCALE
+        try:
+            self.queued_ops = self.queued_units / _ULP_SCALE
+        except OverflowError:
+            raise EngineError(f"queued ops on worker {self.node.id} exceed the float range") from None
 
     def dequeue(self) -> tuple[Job, float]:
         item = self.queue.popleft()
@@ -251,14 +254,14 @@ class _Run:
     def _on_arrival(self, now: float, data: tuple) -> None:
         (inv_id,) = data
         app = self.apps[self.invocations[inv_id].app]
-        self.schedule(now, STAGE_READY, (inv_id, app.source, app.client))
+        self.schedule(now, STAGE_READY, (inv_id, app.dag.source, app.client))
 
     def _on_stage_ready(self, now: float, data: tuple) -> None:
         inv_id, fid, at_node = data
         inv = self.invocations[inv_id]
         app = self.apps[inv.app]
         f = app.functions[fid]
-        preds = app.preds[fid]
+        preds = app.dag.preds[fid]
         input_bytes = vertex_input_bytes(preds, inv.outputs, inv.payload)
 
         # State is resolved at dispatch time from one registry read, which the
@@ -335,17 +338,18 @@ class _Run:
         inv_id, fid, w, out_bytes, _ops = job
         inv = self.invocations[inv_id]
         app = self.apps[inv.app]
+        dag = app.dag
         outputs = inv.outputs
         outputs[fid] = out_bytes
 
-        if fid == app.sink:
+        if fid == dag.sink:
             d_out = self._hop(w, app.client, out_bytes, app.functions[fid], None, inv.stages[fid])
             self.schedule(now + d_out, DELIVERED, (inv_id,))
         else:
             # A successor is ready once every predecessor has an output, which
             # happens exactly once: on its last predecessor's EXEC_DONE.
-            for q in app.succs[fid]:
-                for p in app.preds[q]:
+            for q in dag.succs[fid]:
+                for p in dag.preds[q]:
                     if p not in outputs:
                         break
                 else:

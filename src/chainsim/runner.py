@@ -21,11 +21,10 @@ from .config import scenario_from_raw  # noqa: F401  bench/tracer.py wraps this 
 
 @dataclass
 class PointResult:
+    """One (point, replication): its summary record, as written to summary.json, and its log."""
+
     point: int
-    swept_field: str | None
-    swept_value: Any
-    replication: int
-    seed: int
+    record: dict
     log: engine.MetricsLog
 
 
@@ -45,14 +44,12 @@ def _run_points(
 ) -> list[PointResult]:
     """Run and write every (point, replication); an unswept run has no point_### level."""
     results = []
-    records = []
     for p, (value, scenario) in enumerate(points):
         point_dir = out if swept_field is None else out / f"point_{p:03d}"
         for r in range(scenario.replications):
             seed = scenario.seed + r
             log = engine.run(scenario, seed=seed)
             _write_run_dir(point_dir / f"rep_{r:03d}", log)
-            results.append(PointResult(p, swept_field, value, r, seed, log))
             record = {
                 "point": p,
                 "swept_field": swept_field,
@@ -61,7 +58,8 @@ def _run_points(
                 "seed": seed,
             }
             record.update(metrics.summary_record(log))
-            records.append(record)
+            results.append(PointResult(p, record, log))
+    records = [res.record for res in results]
     (out / "summary.json").write_text(json.dumps({"records": records}, indent=2) + "\n", encoding="utf-8")
     if emit_plotdata:
         (out / "plotdata.csv").write_text(metrics.plotdata_csv(records), encoding="utf-8")

@@ -112,12 +112,19 @@ def remote_state_access(
     host and remote_migrate pays a single transfer to the executor. Pure:
     the caller records a migration with ``StateRegistry.move``.
     """
-    if _free(mode, host, f) or host == exec_node:
+    size = f.state_size
+    if host is None or host == exec_node or size == 0 or not mode.is_remote:
         return ZERO_ACCESS
-    legs = _legs(mode, host, exec_node)
+    if mode is StateMode.REMOTE_FIXED:
+        legs = ((host, exec_node), (exec_node, host))
+    else:
+        legs = ((host, exec_node),)
+    delay = 0.0
+    for src, dst in legs:
+        delay += transfer_delay(rt, src, dst, size)
     return StateAccess(
-        delay=_access_delay(legs, f.state_size, rt),
-        bytes_moved=len(legs) * f.state_size,
+        delay=delay,
+        bytes_moved=len(legs) * size,
         migration=mode is StateMode.REMOTE_MIGRATE,
         legs=legs,
     )
@@ -130,34 +137,12 @@ def state_delays(
     targets: tuple[int, ...],
     rt: RouteTable,
 ) -> tuple[float, ...]:
-    """``remote_state_access(...).delay`` at each of ``targets``, bit for bit.
+    """``remote_state_access(...).delay`` at each of ``targets``.
 
     Routes and state sizes are static, so the vector is memoized on ``rt``
     per ``(host, targets, state_size, mode)``.
     """
-    if _free(mode, host, f):
-        return (0.0,) * len(targets)
-    size = f.state_size
     return rt.memo(
-        ("state", host, targets, size, mode),
-        lambda: tuple(0.0 if w == host else _access_delay(_legs(mode, host, w), size, rt) for w in targets),
+        ("state", host, targets, f.state_size, mode),
+        lambda: tuple(remote_state_access(mode, host, f, w, rt).delay for w in targets),
     )
-
-
-def _free(mode: StateMode, host: int | None, f: "FunctionSpec") -> bool:
-    """Whether an access is free: in embedded mode, for stateless functions and for unplaced state."""
-    return host is None or not mode.is_remote or f.state_size == 0
-
-
-def _legs(mode: StateMode, host: int, exec_node: int) -> tuple[tuple[int, int], ...]:
-    """The state's crossings for one remote access: remote_fixed fetches and writes back."""
-    if mode is StateMode.REMOTE_FIXED:
-        return ((host, exec_node), (exec_node, host))
-    return ((host, exec_node),)
-
-
-def _access_delay(legs: tuple[tuple[int, int], ...], size: float, rt: RouteTable) -> float:
-    delay = 0.0
-    for src, dst in legs:
-        delay += transfer_delay(rt, src, dst, size)
-    return delay

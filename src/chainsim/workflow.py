@@ -10,8 +10,8 @@ longest-path dynamic programming and serves as the simulator's oracle.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
 from . import state as state_mod
 from .state import StateMode, StateRegistry
@@ -37,10 +37,30 @@ class FunctionSpec:
 
 @dataclass(frozen=True)
 class DagSpec:
+    """A composition of functions; its neighbour maps and ends are derived once, when built.
+
+    ``preds`` and ``succs`` hold each vertex's sorted producers and consumers;
+    edges with an unknown end are ignored. ``source`` and ``sink`` are the
+    vertex without producers and the one without consumers, or None unless
+    exactly one exists.
+    """
+
     app_id: str
     vertices: frozenset[str]
     edges: frozenset[tuple[str, str]]  # (producer, consumer)
     entry_payload: float  # bytes, > 0
+    preds: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
+    succs: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
+    source: str | None = field(init=False, compare=False, repr=False)
+    sink: str | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        preds = _neighbours(self.vertices, ((q, p) for p, q in self.edges))
+        succs = _neighbours(self.vertices, self.edges)
+        ends = [[v for v, vs in nbrs.items() if not vs] for nbrs in (preds, succs)]
+        source, sink = (vs[0] if len(vs) == 1 else None for vs in ends)
+        for name, value in (("preds", preds), ("succs", succs), ("source", source), ("sink", sink)):
+            object.__setattr__(self, name, value)
 
 
 # Assignment: function id -> worker node id. Plain mapping, no wrapper type.
@@ -62,24 +82,19 @@ def validate_function(f: FunctionSpec) -> list[str]:
     return violations
 
 
-# (predecessors, successors) of each vertex, as ``neighbour_maps`` derives them.
-Neighbours = tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]
+def _neighbours(vertices: frozenset[str], pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
+    """The sorted ``b`` of every ``(a, b)`` pair, by vertex ``a``; pairs with an unknown end are ignored."""
+    nbrs: dict[str, list[str]] = {v: [] for v in vertices}
+    for a, b in sorted(pairs):
+        if a in nbrs and b in nbrs:
+            nbrs[a].append(b)
+    return {v: tuple(bs) for v, bs in nbrs.items()}
 
 
-def neighbour_maps(d: DagSpec) -> Neighbours:
-    """Sorted producers and consumers of each vertex; edges with an unknown end are ignored."""
-    preds: dict[str, list[str]] = {v: [] for v in d.vertices}
-    succs: dict[str, list[str]] = {v: [] for v in d.vertices}
-    for p, q in sorted(d.edges):
-        if p in preds and q in preds:
-            preds[q].append(p)
-            succs[p].append(q)
-    return {v: tuple(ps) for v, ps in preds.items()}, {v: tuple(qs) for v, qs in succs.items()}
-
-
-def _kahn(preds: Mapping[str, tuple[str, ...]], succs: Mapping[str, tuple[str, ...]]) -> list[str]:
+def _kahn(d: DagSpec) -> list[str]:
     """Kahn's algorithm with lowest-id-first tie-breaking; omits every vertex on or after a cycle."""
-    remaining = {v: len(ps) for v, ps in preds.items()}
+    succs = d.succs
+    remaining = {v: len(ps) for v, ps in d.preds.items()}
     ready = [v for v, k in remaining.items() if k == 0]
     heapq.heapify(ready)
     order = []
@@ -93,11 +108,8 @@ def _kahn(preds: Mapping[str, tuple[str, ...]], succs: Mapping[str, tuple[str, .
     return order
 
 
-def validate_dag(d: DagSpec, maps: Neighbours | None = None) -> list[str]:
-    """Structural validation; empty result iff the DAG is well formed.
-
-    ``maps`` is ``neighbour_maps(d)`` when the caller has derived it already.
-    """
+def validate_dag(d: DagSpec) -> list[str]:
+    """Structural validation; empty result iff the DAG is well formed."""
     violations = []
     if not d.vertices:
         return ["dag has no vertices"]
@@ -106,25 +118,18 @@ def validate_dag(d: DagSpec, maps: Neighbours | None = None) -> list[str]:
             if end not in d.vertices:
                 violations.append(f"edge ({p},{q}) references unknown vertex {end}")
 
-    preds, succs = neighbour_maps(d) if maps is None else maps
-    sources = sorted(v for v in d.vertices if not preds[v])
-    sinks = sorted(v for v in d.vertices if not succs[v])
-    if not sources:
-        violations.append("no source")
-    elif len(sources) > 1:
-        violations.append("multiple sources")
-    if not sinks:
-        violations.append("no sink")
-    elif len(sinks) > 1:
-        violations.append("multiple sinks")
+    for end, nbrs, name in ((d.source, d.preds, "source"), (d.sink, d.succs, "sink")):
+        if end is None:
+            several = any(not vs for vs in nbrs.values())
+            violations.append(f"multiple {name}s" if several else f"no {name}")
 
-    acyclic = len(_kahn(preds, succs)) == len(d.vertices)
+    acyclic = len(_kahn(d)) == len(d.vertices)
     if not acyclic:
         violations.append("cycle detected")
 
-    if acyclic and len(sources) == 1 and len(sinks) == 1:
-        fwd = _reachable(sources[0], succs)
-        back = _reachable(sinks[0], preds)
+    if acyclic and d.source is not None and d.sink is not None:
+        fwd = _reachable(d.source, d.succs)
+        back = _reachable(d.sink, d.preds)
         for v in sorted(d.vertices):
             if v not in fwd or v not in back:
                 violations.append(f"vertex {v} not on any source->sink path")
@@ -146,19 +151,9 @@ def _reachable(start: str, nbrs: Mapping[str, tuple[str, ...]]) -> set[str]:
     return seen
 
 
-def dag_end(nbrs: Mapping[str, tuple[str, ...]]) -> str:
-    """The one vertex of a valid DAG without neighbours in ``nbrs``.
-
-    That is the source given its predecessors from ``neighbour_maps`` and the
-    sink given its successors.
-    """
-    (end,) = [v for v, vs in nbrs.items() if not vs]
-    return end
-
-
 def topo_order(d: DagSpec) -> list[str]:
     """Kahn's algorithm with lowest-id-first tie-breaking."""
-    order = _kahn(*neighbour_maps(d))
+    order = _kahn(d)
     if len(order) != len(d.vertices):
         raise ValueError("cycle detected")
     return order
@@ -212,8 +207,7 @@ def critical_path_time(
     vertex computes without queueing. Longest-path dynamic programming in
     topological order; ties in the max leave the result unchanged.
     """
-    preds, succs = maps = neighbour_maps(d)
-    violations = validate_dag(d, maps)
+    violations = validate_dag(d)
     if violations:
         raise ValueError("invalid dag: " + "; ".join(violations))
     for v in sorted(d.vertices):
@@ -227,7 +221,8 @@ def critical_path_time(
 
     done: dict[str, float] = {}
     outputs: dict[str, float] = {}
-    for v in _kahn(preds, succs):
+    preds = d.preds
+    for v in _kahn(d):
         f = functions[v]
         w = a[v]
         input_bytes = vertex_input_bytes(preds[v], outputs, entry)
@@ -249,7 +244,7 @@ def critical_path_time(
         done[v] = t
         outputs[v] = out_bytes
 
-    sink = dag_end(succs)
+    sink = d.sink
     f_sink = functions[sink]
     return done[sink] + transfer_delay(
         rt, a[sink], client, state_mod.stage_transfer_bytes(outputs[sink], f_sink, None, mode)

@@ -138,16 +138,10 @@ def enumerate_critical_path(
     """
     from chainsim.state import stage_transfer_bytes
     from chainsim.topology import transfer_delay
-    from chainsim.workflow import (
-        dag_end,
-        neighbour_maps,
-        stage_io,
-        topo_order,
-        vertex_input_bytes,
-    )
+    from chainsim.workflow import stage_io, topo_order, vertex_input_bytes
 
     entry = dag.entry_payload if entry_payload is None else entry_payload
-    preds, succs = neighbour_maps(dag)
+    preds, succs = dag.preds, dag.succs
     reg = registry if registry is not None else StateRegistry()
 
     outputs: dict[str, float] = {}
@@ -171,7 +165,7 @@ def enumerate_critical_path(
                 for p in preds[v]
             )
 
-    source, sink = dag_end(preds), dag_end(succs)
+    source, sink = dag.source, dag.sink
     best = -math.inf
 
     def walk(v: str, t: float) -> None:

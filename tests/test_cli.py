@@ -159,6 +159,121 @@ def test_bad_number_is_a_config_error(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def workflow(raw):
+    return raw["workflows"][0]
+
+
+def sweep_doc():
+    return {"base": chain_scenario_raw(), "field": "policy", "values": ["random"]}
+
+
+# Each message the config and sweep readers can give: the document, its edit
+# and every error line it prints.
+CONFIG_MESSAGES = {
+    "topology not an object": (
+        chain_scenario_raw,
+        lambda raw: raw.update(topology=[]),
+        ["topology must be an object with nodes and links", "workflow app: client must be the id of a client node"],
+    ),
+    "workflow entry not an object": (
+        chain_scenario_raw,
+        lambda raw: raw.update(workflows=[5]),
+        ["workflow entries must be objects"],
+    ),
+    "empty app_id": (
+        chain_scenario_raw,
+        lambda raw: workflow(raw).update(app_id=""),
+        ["workflow needs a non-empty app_id string"],
+    ),
+    "function without string id": (
+        chain_scenario_raw,
+        lambda raw: workflow(raw)["functions"].append({"id": 5}),
+        ["workflow app: each function needs a string id"],
+    ),
+    "duplicate function id": (
+        chain_scenario_raw,
+        lambda raw: workflow(raw)["functions"].append(dict(workflow(raw)["functions"][0])),
+        ["workflow app: duplicate function id f0"],
+    ),
+    "chain and dag": (
+        chain_scenario_raw,
+        lambda raw: workflow(raw).update(dag={"vertices": ["f0"], "edges": []}),
+        ["workflow app: exactly one of 'chain' or 'dag' is required"],
+    ),
+    "dag not an object": (
+        chain_scenario_raw,
+        lambda raw: workflow(raw).update(dag=5, chain=None) or workflow(raw).pop("chain"),
+        ["workflow app: dag must be an object with vertices and edges"],
+    ),
+    "dag edge not a pair": (
+        chain_scenario_raw,
+        lambda raw: as_dag(raw).update(edges=[["f0", "f1", "f0"]]),
+        ["workflow app: dag edges must be [producer, consumer] pairs"],
+    ),
+    "uniform payload lo > hi": (
+        chain_scenario_raw,
+        lambda raw: raw["workload"].update(payload={"kind": "uniform", "lo": 5.0, "hi": 1.0}),
+        ["workload.payload uniform requires 0 <= lo <= hi"],
+    ),
+    "exponential payload mean 0": (
+        chain_scenario_raw,
+        lambda raw: raw["workload"].update(payload={"kind": "exponential", "mean": 0}),
+        ["workload.payload exponential requires mean > 0"],
+    ),
+    "rates missing app": (
+        chain_scenario_raw,
+        lambda raw: raw["workload"].update(rates={}),
+        ["workload.rates missing app app"],
+    ),
+    "negative seed": (
+        chain_scenario_raw,
+        lambda raw: raw.update(seed=-1),
+        ["seed must be an unsigned 64-bit integer"],
+    ),
+    "zero replications": (
+        chain_scenario_raw,
+        lambda raw: raw.update(replications=0),
+        ["replications must be a positive integer"],
+    ),
+    "sweep base a number": (
+        sweep_doc,
+        lambda doc: doc.update(base=5),
+        ["sweep.base must be a config object or a path to one"],
+    ),
+    "sweep malformed link_rate": (
+        sweep_doc,
+        lambda doc: doc.update(field="link_rate:a-b"),
+        ["malformed link_rate field 'link_rate:a-b'"],
+    ),
+    "sweep unknown field": (
+        sweep_doc,
+        lambda doc: doc.update(field="horizon"),
+        ["sweep.field must be one of ['arrival_rate', 'policy', 'state_mode'] or link_rate:<a>-<b>"],
+    ),
+    "sweep empty values": (
+        sweep_doc,
+        lambda doc: doc.update(values=[]),
+        ["sweep.values must be a non-empty list"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_MESSAGES))
+def test_config_message(case, tmp_path, capsys):
+    make, edit, errors = CONFIG_MESSAGES[case]
+    doc = make()
+    edit(doc)
+    path = write_config(tmp_path, doc)
+    if make is sweep_doc:
+        assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 1
+    else:
+        assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {e}" for e in errors]
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_duplicate_candidates_are_a_config_error(tmp_path, capsys):
     raw = chain_scenario_raw()
     raw["candidates"] = [2, 2, 1]
@@ -194,6 +309,17 @@ class TestRun:
         blocker = tmp_path / "blocked"
         blocker.write_text("a file where a directory must go", encoding="utf-8")
         assert main(["run", str(cfg), "--out", str(blocker / "sub")]) == 2
+
+    def test_queued_ops_beyond_the_float_range_exit_two(self, tmp_path, capsys):
+        raw = load_json(CONFIGS / "baseline_single_worker.json")
+        raw["workflows"][0]["functions"][0]["fixed_ops"] = 1e308
+        raw["workload"]["horizon"] = 20
+        cfg = write_config(tmp_path, raw)
+        assert main(["validate", str(cfg)]) == 0
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "runtime error: queued ops on worker 1 exceed the float range\n"
+        assert "Traceback" not in err
 
     def test_bad_config_exit_one(self, tmp_path):
         raw = chain_scenario_raw()
@@ -295,6 +421,14 @@ class TestSweep:
         _, errs = sweep_from_raw({"base": base, "field": field, "values": [value]})
         assert errs == []
         assert base == chain_scenario_raw()
+
+    def test_deeply_nested_base_field(self, tmp_path, capsys):
+        base = load_json(CONFIGS / "two_worker_chain.json")
+        for _ in range(700):
+            base["deep"] = [base.get("deep", [])]
+        path = write_config(tmp_path, {"base": base, "field": "policy", "values": ["random"]}, "sweep.json")
+        assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_invalid_sweep_value_exit_one(self, tmp_path):
         sweep = {

@@ -404,7 +404,7 @@ class TestWorkerRuntime:
         def spy(policy_kind, ctx, rr, f, input_bytes, mode):
             run, now, (inv_id, fid, at_node) = ready[-1]
             inv = run.invocations[inv_id]
-            preds = run.apps[inv.app].preds[fid]
+            preds = run.apps[inv.app].dag.preds[fid]
             assert f.id == fid and ctx.app_id == inv.app
             origin = inv.stages[preds[0]].worker if preds else run.apps[inv.app].client
             assert ctx.payload_location == at_node == origin

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainsim import engine
 from chainsim import workflow as wf
 from chainsim.config import scenario_from_raw
 from chainsim.state import StateMode, StateRegistry
@@ -83,14 +84,16 @@ class TestValidateDag:
     def test_app_build_derives_neighbours_once(self, monkeypatch):
         calls = []
 
-        def counting(d):
-            calls.append(d.app_id)
-            return derive(d)
+        def counting(vertices, pairs):
+            calls.append(vertices)
+            return derive(vertices, pairs)
 
-        derive = wf.neighbour_maps
-        monkeypatch.setattr(wf, "neighbour_maps", counting)
-        _, errs = scenario_from_raw(chain_scenario_raw(chain_len=3))
-        assert errs == [] and calls == ["app"]
+        derive = wf._neighbours
+        monkeypatch.setattr(wf, "_neighbours", counting)
+        sc, errs = scenario_from_raw(chain_scenario_raw(chain_len=3, horizon=1.0))
+        assert errs == [] and len(calls) == 2  # once for preds and once for succs
+        engine.run(sc)
+        assert len(calls) == 2
 
     def test_bad_entry_payload(self):
         d = DagSpec("app", frozenset({"f1"}), frozenset(), 0.0)
