@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -62,10 +64,17 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced ``bench/run.py`` run; its last output line, parsed."""
+    """One untraced ``bench/run.py`` run; its last output line, parsed.
+
+    The run writes and reads bytecode under a fresh, empty
+    ``PYTHONPYCACHEPREFIX``, so no ``__pycache__`` left in either checkout
+    can make one side's imports, and so its ``setup_s``, cheaper.
+    """
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if not lines:
         sys.exit(f"error: {checkout}: {' '.join(cmd)} printed nothing (status {proc.returncode}):\n{proc.stderr}")

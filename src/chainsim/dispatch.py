@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -17,6 +17,9 @@ from . import state as state_mod
 from .state import StateMode
 from .topology import NodeSpec, RouteTable
 from .workflow import FunctionSpec, stage_io
+
+if TYPE_CHECKING:
+    from .engine import WorkerRuntime
 
 
 class PolicyKind(enum.Enum):
@@ -27,43 +30,50 @@ class PolicyKind(enum.Enum):
     MIN_LATENCY_ESTIMATE = "min_latency_estimate"
 
 
-# The policies that read ``DispatchContext.backlog``; the others get an empty
-# mapping, so the engine need not compute any backlog for them.
-BACKLOG_POLICIES = frozenset(
-    {PolicyKind.LEAST_LOADED, PolicyKind.STATE_LOCAL, PolicyKind.MIN_LATENCY_ESTIMATE}
-)
+# (worker id, runtime, cores * core_speed, core_speed) of one candidate
+LoadRow = tuple[int, "WorkerRuntime", float, float]
 
 
 @dataclass
 class DispatchContext:
     """Dispatcher-local knowledge at one decision instant.
 
-    ``backlog`` maps candidate workers to pending operations: the exact,
-    correctly rounded total of the worker's queued ops plus the remaining ops
-    of each busy core. Policies outside ``BACKLOG_POLICIES`` (``random`` and
-    ``round_robin``) receive an empty mapping. ``state_host`` is where the
-    engine's registry holds the function's state, or None in embedded mode,
-    for a stateless function and while unplaced. The rng stream is private.
+    ``loads`` maps worker ids to their live ``WorkerRuntime``s. The policies
+    that weigh load (``least_loaded``, ``state_local`` when the state host
+    is not a candidate, and ``min_latency_estimate``) compute each
+    candidate's backlog at ``now`` inside their one pass over ``load_rows``:
+    the runtime's ``queued_ops``, then ``(until - now) * core_speed`` for
+    each busy core in core order, the sum ``WorkerRuntime.backlog_ops``
+    returns. ``state_host`` is where the engine's registry holds the
+    function's state, or None in embedded mode, for a stateless function
+    and while unplaced. The rng stream is private.
 
     The engine builds one context per run and mutates it between decisions
-    (``app_id``, ``state_host``, ``payload_location`` and the values of
-    ``backlog``), so a policy must not keep the context or its ``backlog``
-    mapping past the call. ``workers`` is fixed once the context is built.
+    (``app_id``, ``now``, ``state_host`` and ``payload_location``), so a
+    policy must not keep the context past the call. ``candidate_workers``,
+    ``workers`` and ``loads`` are fixed once the context is built, and each
+    candidate must be a key of both mappings.
     """
 
     app_id: str
     candidate_workers: tuple[int, ...]
-    backlog: Mapping[int, float]
+    now: float
     state_host: int | None
     routes: RouteTable
     payload_location: int
     rng: np.random.Generator
     workers: Mapping[int, NodeSpec]
-    # worker id -> (cores * core_speed, core_speed), derived once from ``workers``
-    speeds: dict[int, tuple[float, float]] = field(init=False, repr=False, compare=False)
+    loads: Mapping[int, WorkerRuntime]
+    # one row per candidate, in candidate order, derived once
+    load_rows: tuple[LoadRow, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.speeds = {w: (spec.cores * spec.core_speed, spec.core_speed) for w, spec in self.workers.items()}
+        self.load_rows = tuple(_load_row(self, w) for w in self.candidate_workers)
+
+
+def _load_row(ctx: DispatchContext, w: int) -> LoadRow:
+    spec = ctx.workers[w]
+    return (w, ctx.loads[w], spec.cores * spec.core_speed, spec.core_speed)
 
 
 @dataclass
@@ -92,35 +102,58 @@ def estimate_completion(
     ``ctx.state_host`` (no migration applied; the estimate is a prediction,
     not a commitment) + backlog drain + stage compute. In-flight network
     transfers toward ``w`` are not visible to the dispatcher and are ignored.
+    Scored by ``min_latency_estimate``'s own pass, over the one worker.
     """
-    return _estimates(ctx, f, (w,), input_bytes, mode)[0]
+    return _least_estimate(ctx, f, (w,), (_load_row(ctx, w),), input_bytes, mode)[0]
 
 
-def _estimates(
+def _least_estimate(
     ctx: DispatchContext,
     f: FunctionSpec,
     targets: tuple[int, ...],
+    rows: tuple[LoadRow, ...],
     input_bytes: float,
     mode: StateMode,
-) -> list[float]:
-    """``estimate_completion`` at each of ``targets``, in one pass.
+) -> tuple[float, int]:
+    """The least ``estimate_completion`` over ``targets`` and its worker, in one pass.
 
-    The wire size, compute demand and state host are found once; the input
-    transfer is priced once per distinct hop sequence from the payload's
-    location. Each estimate adds its terms in the order
-    ``xfer + state + backlog / (cores * speed) + ops / speed``.
+    ``rows`` are the targets' load rows, in the same order. The wire size,
+    compute demand and state host are found once; the input transfer is
+    priced once per distinct hop sequence from the payload's location. Each
+    estimate adds its terms in the order
+    ``xfer + state + backlog / (cores * speed) + ops / speed``, the backlog
+    summed as ``WorkerRuntime.backlog_ops`` sums it. Ties go to the lowest
+    worker id, as ``min`` over ``(estimate, worker)`` pairs would pick.
     """
     compute_ops, _ = stage_io(f, input_bytes)
     nbytes = state_mod.stage_transfer_bytes(input_bytes, None, f, mode)
     classes, class_of = ctx.routes.hop_classes(ctx.payload_location, targets)
     class_xfer = [route.delay(nbytes) for route in classes]
     state = state_mod.state_delays(mode, ctx.state_host, f, targets, ctx.routes)
-    backlog, speeds = ctx.backlog, ctx.speeds
-    estimates = []
-    for w, c, state_delay in zip(targets, class_of, state):
-        capacity, speed = speeds[w]
-        estimates.append(class_xfer[c] + state_delay + backlog.get(w, 0.0) / capacity + compute_ops / speed)
-    return estimates
+    now = ctx.now
+    best = best_w = None
+    for (w, wr, capacity, speed), c, state_delay in zip(rows, class_of, state):
+        pending = wr.queued_ops
+        for until in wr.busy_until:
+            if until > now:
+                pending += (until - now) * speed
+        est = class_xfer[c] + state_delay + pending / capacity + compute_ops / speed
+        if best_w is None or est < best or (est == best and w < best_w):
+            best, best_w = est, w
+    return best, best_w
+
+
+def _least_backlog(now: float, rows: tuple[LoadRow, ...]) -> tuple[float, int]:
+    """The least backlog at ``now`` over ``rows`` and its worker, by ``_least_estimate``'s rules."""
+    best = best_w = None
+    for w, wr, _capacity, speed in rows:
+        pending = wr.queued_ops
+        for until in wr.busy_until:
+            if until > now:
+                pending += (until - now) * speed
+        if best_w is None or pending < best or (pending == best and w < best_w):
+            best, best_w = pending, w
+    return best, best_w
 
 
 def choose_worker(
@@ -143,18 +176,14 @@ def choose_worker(
         return candidates[rr.take(ctx.app_id, f.id, len(candidates))]
 
     if policy is PolicyKind.LEAST_LOADED:
-        return _least_loaded(ctx)
+        return _least_backlog(ctx.now, ctx.load_rows)[1]
 
     if policy is PolicyKind.STATE_LOCAL:
         if ctx.state_host in candidates:
             return ctx.state_host
-        return _least_loaded(ctx)
+        return _least_backlog(ctx.now, ctx.load_rows)[1]
 
     if policy is PolicyKind.MIN_LATENCY_ESTIMATE:
-        return min(zip(_estimates(ctx, f, candidates, input_bytes, mode), candidates))[1]
+        return _least_estimate(ctx, f, candidates, ctx.load_rows, input_bytes, mode)[1]
 
     raise ValueError(f"unknown policy {policy}")
-
-
-def _least_loaded(ctx: DispatchContext) -> int:
-    return min(ctx.candidate_workers, key=lambda w: (ctx.backlog.get(w, 0.0), w))

@@ -18,7 +18,7 @@ from itertools import count
 from . import state as state_mod
 from . import workload as wl
 from .config import AppWorkflow, Scenario
-from .dispatch import BACKLOG_POLICIES, DispatchContext, PolicyKind, RrState, choose_worker
+from .dispatch import DispatchContext, PolicyKind, RrState, choose_worker
 from .state import StateRegistry, remote_state_access
 from .topology import NodeSpec, Route
 from .workflow import stage_io, vertex_input_bytes
@@ -132,7 +132,13 @@ class WorkerRuntime:
         return None
 
     def backlog_ops(self, now: float) -> float:
-        """Queued ops plus the remaining ops of every busy core, in core order."""
+        """Queued ops plus the remaining ops of every busy core, in core order.
+
+        Dispatch computes the same sum, in the same order, inside each policy's
+        pass over its candidates, and a test pins the two bit-equal. The
+        engine does not call this method; it stays because the benchmark's
+        tracer wraps it by name.
+        """
         pending = self.queued_ops
         speed = self.node.core_speed
         for until in self.busy_until:
@@ -160,21 +166,18 @@ class _Run:
         self.registry = StateRegistry()
         self.rr = RrState()
         # One context serves every decision of the run: each dispatch sets the
-        # app, state host, payload node and, for policies that read it, backlog.
+        # app, time, state host and payload node; policies read worker load
+        # from the live runtimes.
         self.ctx = DispatchContext(
             app_id="",
             candidate_workers=scenario.candidates,
-            backlog={},
+            now=0.0,
             state_host=None,
             routes=self.routes,
             payload_location=-1,
             rng=wl.substream(seed, wl.STREAM_POLICY),
             workers=worker_specs,
-        )
-        self.backlog_runtimes = (
-            tuple((w, self.workers[w]) for w in scenario.candidates)
-            if scenario.policy in BACKLOG_POLICIES
-            else ()
+            loads=self.workers,
         )
         self.heap: list[tuple[float, int, int, tuple]] = []  # (time, seq, kind, data)
         self.seq = count()
@@ -241,12 +244,12 @@ class _Run:
 
         Embedded state rides in the wire size; it is state traffic only when the hop crosses the network.
         """
-        nbytes = state_mod.stage_transfer_bytes(data_bytes, producer, consumer, self.mode)
+        nbytes, state_bytes = state_mod.stage_transfer_sizes(data_bytes, producer, consumer, self.mode)
         delay = self._charge_links(src, dst, nbytes, rec).delay(nbytes)
         if not math.isfinite(delay):
             raise EngineError(f"non-finite transfer delay {src}->{dst} for {nbytes} bytes")
         if src != dst:
-            rec.state_bytes += state_mod.stage_transfer_bytes(0.0, producer, consumer, self.mode)
+            rec.state_bytes += state_bytes
         return delay
 
     # -- handlers ------------------------------------------------------------
@@ -272,11 +275,9 @@ class _Run:
         host = self.registry.get(inv.app, fid) if stateful else None
         ctx = self.ctx
         ctx.app_id = inv.app
+        ctx.now = now
         ctx.state_host = host
         ctx.payload_location = at_node
-        backlog = ctx.backlog
-        for wid, wr in self.backlog_runtimes:
-            backlog[wid] = wr.backlog_ops(now)
         w = choose_worker(self.policy, ctx, self.rr, f, input_bytes, self.mode)
         rec = StageRecord(worker=w, dispatch_time=now)
         inv.stages[fid] = rec

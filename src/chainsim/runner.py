@@ -10,6 +10,7 @@ reruns are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -49,7 +50,6 @@ def _run_points(
         for r in range(scenario.replications):
             seed = scenario.seed + r
             log = engine.run(scenario, seed=seed)
-            _write_run_dir(point_dir / f"rep_{r:03d}", log)
             record = {
                 "point": p,
                 "swept_field": swept_field,
@@ -58,12 +58,25 @@ def _run_points(
                 "seed": seed,
             }
             record.update(metrics.summary_record(log))
+            _check_finite(log, record)
+            _write_run_dir(point_dir / f"rep_{r:03d}", log)
             results.append(PointResult(p, record, log))
     records = [res.record for res in results]
     (out / "summary.json").write_text(json.dumps({"records": records}, indent=2) + "\n", encoding="utf-8")
     if emit_plotdata:
         (out / "plotdata.csv").write_text(metrics.plotdata_csv(records), encoding="utf-8")
     return results
+
+
+def _check_finite(log: engine.MetricsLog, record: dict) -> None:
+    """Refuse a replication whose summary or link totals overflowed, before any of its files is written."""
+    where = f"point {record['point']}, replication {record['replication']}"
+    for key, value in record.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise engine.EngineError(f"non-finite {key} at {where}")
+    for (a, b), nbytes in sorted(log.link_bytes.items()):
+        if not math.isfinite(nbytes):
+            raise engine.EngineError(f"non-finite byte total on link {a}-{b} at {where}")
 
 
 def _write_run_dir(dirpath: Path, log: engine.MetricsLog) -> None:

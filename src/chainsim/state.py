@@ -76,25 +76,41 @@ class StateAccess:
 ZERO_ACCESS = StateAccess(delay=0.0, bytes_moved=0.0)
 
 
+def stage_transfer_sizes(
+    data_bytes: float,
+    producer: "FunctionSpec | None",
+    consumer: "FunctionSpec | None",
+    mode: StateMode,
+) -> tuple[float, float]:
+    """Wire size of one stage transfer and the embedded state within it.
+
+    The producer's embedded state rides the hop out of its executor and the
+    consumer's rides the hop in; entry and delivery transfers have only one
+    function-side endpoint. The wire size is ``data + producer + consumer``
+    and the state part ``0.0 + producer + consumer``, each added in that order.
+    """
+    embedded = mode is StateMode.EMBEDDED
+    nbytes = data_bytes
+    carried = 0.0
+    if producer is not None:
+        size = producer.state_size if embedded else 0.0
+        nbytes += size
+        carried += size
+    if consumer is not None:
+        size = consumer.state_size if embedded else 0.0
+        nbytes += size
+        carried += size
+    return nbytes, carried
+
+
 def stage_transfer_bytes(
     data_bytes: float,
     producer: "FunctionSpec | None",
     consumer: "FunctionSpec | None",
     mode: StateMode,
 ) -> float:
-    """Wire size of one stage transfer.
-
-    The producer's embedded state rides the hop out of its executor and the
-    consumer's rides the hop in; entry and delivery transfers have only one
-    function-side endpoint.
-    """
-    embedded = mode is StateMode.EMBEDDED
-    nbytes = data_bytes
-    if producer is not None:
-        nbytes += producer.state_size if embedded else 0.0
-    if consumer is not None:
-        nbytes += consumer.state_size if embedded else 0.0
-    return nbytes
+    """Wire size of one stage transfer: ``stage_transfer_sizes(...)[0]``."""
+    return stage_transfer_sizes(data_bytes, producer, consumer, mode)[0]
 
 
 def remote_state_access(

@@ -194,6 +194,26 @@ def enumerate_critical_path(
 # -- dispatch -----------------------------------------------------------------
 
 
+def rescan_backlog(wr, now: float) -> float:
+    """Reference backlog of a ``WorkerRuntime``: the queue summed from scratch, then the busy cores."""
+    pending = math.fsum(job[4] for job, _t_enq in wr.queue)
+    speed = wr.node.core_speed
+    for until in wr.busy_until:
+        if until > now:
+            pending += (until - now) * speed
+    return pending
+
+
+def loaded_runtimes(workers, backlog) -> dict:
+    """Idle ``WorkerRuntime``s for ``workers``; worker ``w`` in ``backlog`` holds one queued job of ``backlog[w]`` ops."""
+    from chainsim.engine import WorkerRuntime
+
+    loads = {w: WorkerRuntime(spec) for w, spec in workers.items()}
+    for w, ops in backlog.items():
+        loads[w].enqueue((0, "queued", w, 0.0, ops), 0.0)
+    return loads
+
+
 def reference_estimate(ctx, f, w, input_bytes, mode) -> float:
     """``min_latency_estimate``'s score of worker ``w``, term by term from first principles.
 
@@ -208,7 +228,7 @@ def reference_estimate(ctx, f, w, input_bytes, mode) -> float:
     est = transfer_delay(ctx.routes, ctx.payload_location, w, stage_transfer_bytes(input_bytes, None, f, mode))
     est += remote_state_access(mode, ctx.state_host, f, w, ctx.routes).delay
     compute_ops, _ = stage_io(f, input_bytes)
-    est += ctx.backlog.get(w, 0.0) / (spec.cores * spec.core_speed)
+    est += rescan_backlog(ctx.loads[w], ctx.now) / (spec.cores * spec.core_speed)
     est += compute_ops / spec.core_speed
     return est
 

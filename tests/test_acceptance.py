@@ -32,6 +32,7 @@ from helpers import (
     brute_force_routes,
     chain_scenario_raw,
     enumerate_critical_path,
+    loaded_runtimes,
     random_chain_scenario_raw,
     random_dag,
     random_topology,
@@ -285,12 +286,13 @@ def test_criterion_08_policy_oracle():
         ctx = DispatchContext(
             app_id="app",
             candidate_workers=candidates,
-            backlog=backlog,
+            now=0.0,
             state_host=reg.get("app", "f"),
             routes=rt,
             payload_location=0,
             rng=np.random.default_rng(k),
             workers=workers,
+            loads=loaded_runtimes(workers, backlog),
         )
         mode = StateMode(rng.choice(ALL_MODES))
         input_bytes = rng.choice([0.0, 1000.0, 50_000.0])
@@ -315,15 +317,17 @@ def test_criterion_09_statistical_sanity():
     links = [LinkSpec(0, i + 1, 0.001, 1e6) for i in range(n_candidates)]
     topo = Topology(tuple(nodes), tuple(links))
     rt = build_routes(topo)
+    workers = {w.id: w for w in topo.workers()}
     ctx = DispatchContext(
         app_id="app",
         candidate_workers=tuple(range(1, n_candidates + 1)),
-        backlog={w: 0.0 for w in range(1, n_candidates + 1)},
+        now=0.0,
         state_host=None,
         routes=rt,
         payload_location=0,
         rng=np.random.default_rng(909),
-        workers={w.id: w for w in topo.workers()},
+        workers=workers,
+        loads=loaded_runtimes(workers, {}),
     )
     f = FunctionSpec("f", fixed_ops=1.0)
     draws = 10_000
@@ -336,17 +340,20 @@ def test_criterion_09_statistical_sanity():
         assert abs(c - draws * p) <= 3 * sigma, (w, c)
 
     # RoundRobin visits each of N candidates exactly once per N calls
+    # (each candidate is a worker of the context: n = 6 names one the topology lacks)
     for n in range(2, 7):
         sub = tuple(range(1, n + 1))
+        sub_workers = {w: NodeSpec(w, "worker", 1, 1e6) for w in sub}
         ctx_n = DispatchContext(
             app_id="app",
             candidate_workers=sub,
-            backlog={w: 0.0 for w in sub},
+            now=0.0,
             state_host=None,
             routes=rt,
             payload_location=0,
             rng=np.random.default_rng(0),
-            workers={w.id: w for w in topo.workers()},
+            workers=sub_workers,
+            loads=loaded_runtimes(sub_workers, {}),
         )
         rr = RrState()
         for cycle in range(3):

@@ -1,6 +1,9 @@
-"""The comparison rule of scripts/bench_pairs.py, on made-up runs."""
+"""The comparison rule of scripts/bench_pairs.py, on made-up runs, and how it starts a run."""
 
 import importlib.util
+import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,26 @@ def test_lower_is_better_and_the_bound():
 def test_one_pair():
     assert bench_pairs.quartiles([5.0]) == (5.0, 5.0, 5.0)
     assert compare([5.0], [6.0], "higher", 0.25)["gain"]
+
+
+def test_each_run_gets_a_fresh_empty_pycache_prefix(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        calls.append((cmd, cwd, env, prefix, prefix.is_dir() and not any(prefix.iterdir())))
+        line = json.dumps({"metrics": {}, "correct": True, "failed": 0})
+        return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "stale"))
+    for _ in range(2):
+        assert bench_pairs.run_once(tmp_path, "w", 7, 1.0) == {"metrics": {}, "correct": True, "failed": 0, "status": 0}
+    (cmd, cwd, env, first, first_empty), (_, _, _, second, second_empty) = calls
+    assert cmd[1:] == ["bench/run.py", "--workload", "w", "--seed", "7", "--seconds", "1.0", "--trace", "0"]
+    assert cwd == tmp_path
+    assert first_empty and second_empty and first != second
+    assert first != tmp_path / "stale" and not first.exists() and not second.exists()
+    assert {k: v for k, v in env.items() if k != "PYTHONPYCACHEPREFIX"} == {
+        k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"
+    }

@@ -321,6 +321,21 @@ class TestRun:
         assert err == "runtime error: queued ops on worker 1 exceed the float range\n"
         assert "Traceback" not in err
 
+    def test_non_finite_total_exit_two(self, tmp_path, capsys):
+        # 1e308 bytes of embedded state ride every hop: the link and summary totals overflow
+        raw = load_json(CONFIGS / "two_worker_chain.json")
+        raw["workload"]["horizon"] = 2
+        raw["state_mode"] = "embedded"
+        raw["workflows"][0]["functions"][0]["state_size"] = 1e308
+        cfg = write_config(tmp_path, raw)
+        assert main(["validate", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "runtime error: non-finite total_state_bytes at point 0, replication 0\n"
+        written = [path.read_text(encoding="utf-8") for path in out.rglob("*") if path.is_file()]
+        assert not any("inf" in text or "Infinity" in text for text in written)
+
     def test_bad_config_exit_one(self, tmp_path):
         raw = chain_scenario_raw()
         raw["policy"] = "bogus"

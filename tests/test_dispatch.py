@@ -9,15 +9,17 @@ from chainsim.dispatch import (
     DispatchContext,
     PolicyKind,
     RrState,
-    _estimates,
+    _least_backlog,
+    _least_estimate,
     choose_worker,
     estimate_completion,
 )
+from chainsim.engine import WorkerRuntime
 from chainsim.state import StateMode, StateRegistry
 from chainsim.topology import LinkSpec, NodeSpec, Topology, build_routes
 from chainsim.workflow import FunctionSpec
 
-from helpers import make_topology, reference_choice, reference_estimate
+from helpers import loaded_runtimes, make_topology, reference_choice, reference_estimate
 
 
 def star_network(n_workers=3, core_speed=1e6, cores=1):
@@ -45,12 +47,13 @@ def make_ctx(
     return DispatchContext(
         app_id="app",
         candidate_workers=cands,
-        backlog=backlog or {w: 0.0 for w in cands},
+        now=0.0,
         state_host=None if registry is None else registry.get("app", "f"),
         routes=rt,
         payload_location=payload_location,
         rng=np.random.default_rng(seed),
         workers=workers,
+        loads=loaded_runtimes(workers, backlog or {}),
     )
 
 
@@ -116,9 +119,10 @@ class TestChooseWorker:
 
     def test_least_loaded_breaks_ties_by_id(self):
         t, rt = star_network(3)
-        ctx = make_ctx(t, rt, backlog={1: 5.0, 2: 5.0, 3: 9.0})
-        got = choose_worker(PolicyKind.LEAST_LOADED, ctx, RrState(), FunctionSpec("f", 1.0), 0.0, StateMode.EMBEDDED)
-        assert got == 1
+        for candidates in ((1, 2, 3), (3, 2, 1)):
+            ctx = make_ctx(t, rt, backlog={1: 5.0, 2: 5.0, 3: 9.0}, candidates=candidates)
+            f = FunctionSpec("f", 1.0)
+            assert choose_worker(PolicyKind.LEAST_LOADED, ctx, RrState(), f, 0.0, StateMode.EMBEDDED) == 1
 
     def test_round_robin_cycles_per_function(self):
         t, rt = star_network(3)
@@ -177,9 +181,33 @@ class TestChooseWorker:
     def test_min_latency_tie_resolves_to_lowest_id(self):
         # identical workers, identical links, no state: all estimates equal
         t, rt = star_network(4)
-        ctx = make_ctx(t, rt)
         f = FunctionSpec("f", fixed_ops=1000.0)
-        assert choose_worker(PolicyKind.MIN_LATENCY_ESTIMATE, ctx, RrState(), f, 100.0, StateMode.EMBEDDED) == 1
+        for candidates in ((1, 2, 3, 4), (4, 3, 2, 1)):
+            ctx = make_ctx(t, rt, candidates=candidates)
+            assert choose_worker(PolicyKind.MIN_LATENCY_ESTIMATE, ctx, RrState(), f, 100.0, StateMode.EMBEDDED) == 1
+
+
+class TestOnePassChoice:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["0.0", "1.0", "2.5", "inf", "nan"]), min_size=1, max_size=6),
+        st.randoms(use_true_random=False),
+    )
+    def test_least_backlog_equals_min_over_pairs(self, values, rnd):
+        # The pass keeps the first row, then takes a row whose backlog is less,
+        # or equal with a lower id: ``min`` over (backlog, worker) pairs, NaN
+        # included, for candidates in any order. Each backlog is its own float.
+        ids = list(range(1, len(values) + 1))
+        rnd.shuffle(ids)
+        backlogs = [float(v) for v in values]
+        rows = []
+        for w, ops in zip(ids, backlogs):
+            wr = WorkerRuntime(NodeSpec(w, "worker", cores=1, core_speed=1e6))
+            wr.queued_ops = ops
+            rows.append((w, wr, 1e6, 1e6))
+        best, best_w = _least_backlog(0.0, tuple(rows))
+        ref_best, ref_w = min(zip(backlogs, ids))
+        assert (best.hex(), best_w) == (ref_best.hex(), ref_w)
 
 
 class TestPolicyProperties:
@@ -284,8 +312,11 @@ class TestScoresMatchReference:
                     ctx = make_ctx(t, rt, backlog=backlog, payload_location=src, registry=reg,
                                    candidates=candidates)
                     input_bytes = rng.choice([0.0, 1000.0, 12345.6])
-                    expected = [reference_estimate(ctx, f, w, input_bytes, mode).hex() for w in candidates]
-                    assert [x.hex() for x in _estimates(ctx, f, tuple(candidates), input_bytes, mode)] == expected
+                    reference = [reference_estimate(ctx, f, w, input_bytes, mode) for w in candidates]
+                    expected = [x.hex() for x in reference]
+                    best, best_w = _least_estimate(ctx, f, tuple(candidates), ctx.load_rows, input_bytes, mode)
+                    ref_best, ref_w = min(zip(reference, candidates))
+                    assert (best.hex(), best_w) == (ref_best.hex(), ref_w)
                     assert [
                         estimate_completion(ctx, f, w, input_bytes, mode).hex() for w in candidates
                     ] == expected

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from chainsim import engine, metrics
 from chainsim.config import load_json, scenario_from_raw
-from chainsim.dispatch import BACKLOG_POLICIES, PolicyKind
+from chainsim.dispatch import PolicyKind, _least_backlog, estimate_completion
 from chainsim.state import StateMode, StateRegistry
 from chainsim.topology import NodeSpec
 from chainsim.workflow import critical_path_time
@@ -20,6 +20,8 @@ from helpers import (
     random_chain_scenario_raw,
     random_dag_scenario_raw,
     reference_choice,
+    reference_estimate,
+    rescan_backlog,
 )
 
 ALL_POLICIES = ["random", "round_robin", "least_loaded", "state_local", "min_latency_estimate"]
@@ -328,16 +330,6 @@ class TestMMc:
         assert half < 0.15 * expected  # the interval is narrow enough to mean something
 
 
-def rescan_backlog(wr, now):
-    """Reference backlog: the queue summed from scratch, then the busy cores."""
-    pending = math.fsum(job[4] for job, _t_enq in wr.queue)
-    speed = wr.node.core_speed
-    for until in wr.busy_until:
-        if until > now:
-            pending += (until - now) * speed
-    return pending
-
-
 QUEUED_OPS = st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False)
 
 
@@ -382,17 +374,24 @@ class TestWorkerRuntime:
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_engine_matches_rescanning_backlog(self, policy, monkeypatch):
-        # rho ~1.3 on three single-core workers: queues grow through the run
-        raw = chain_scenario_raw(n_workers=3, chain_len=3, policy=policy, state_mode="remote_migrate",
-                                 rate=550.0, horizon=1.5, state_size=2000.0)
-        for fn in raw["workflows"][0]["functions"][::2]:
+        # Decision differential: at every dispatch the run's one context holds
+        # this stage's app, payload node and time, its load rows are the run's
+        # live runtimes, each row's backlog in the policy's pass is bit-equal
+        # to ``backlog_ops`` and to a rescan, and the chosen worker is the one
+        # a first-principles choice over rescanned backlogs makes.
+        # rho ~1.3 on three single-core workers: queues grow through the run;
+        # candidates listed in descending order pin the lowest-id tie rule
+        chain = chain_scenario_raw(n_workers=3, chain_len=3, policy=policy, rate=550.0, horizon=1.5,
+                                   state_size=2000.0)
+        for fn in chain["workflows"][0]["functions"][::2]:
             fn["state_size"] = 0.0  # stateless stages: state_local falls back to least_loaded
-        raw["workload"]["compute_randomization"] = True
-        raw["workload"]["payload"] = {"kind": "exponential", "mean": 1000.0}
+        chain["workload"]["compute_randomization"] = True
+        chain["workload"]["payload"] = {"kind": "exponential", "mean": 1000.0}
+        chain["candidates"] = [3, 2, 1]
+        mesh = load_json(CONFIGS / "edge_mesh.json")
+        mesh["policy"] = policy
 
-        # The engine reuses one context per run; at every decision it must
-        # hold this stage's app and payload node and a fresh backlog.
-        reads_backlog = PolicyKind(policy) in BACKLOG_POLICIES
+        kind = PolicyKind(policy)
         ready = []  # (run, now, data) of each STAGE_READY as it is handled
         on_stage_ready = engine._Run._on_stage_ready
         choose_worker = engine.choose_worker
@@ -401,28 +400,53 @@ class TestWorkerRuntime:
             ready.append((run, now, data))
             on_stage_ready(run, now, data)
 
+        ties = []  # decisions whose least score several candidates share
+
+        def least(scores):
+            best = min(scores)
+            ties.append(sum(score == best[0] for score, _ in scores) > 1)
+            return best[1]
+
+        def least_rescanned(ctx):
+            return least([(rescan_backlog(ctx.loads[w], ctx.now), w) for w in ctx.candidate_workers])
+
         def spy(policy_kind, ctx, rr, f, input_bytes, mode):
             run, now, (inv_id, fid, at_node) = ready[-1]
             inv = run.invocations[inv_id]
             preds = run.apps[inv.app].dag.preds[fid]
-            assert f.id == fid and ctx.app_id == inv.app
+            assert f.id == fid and ctx.app_id == inv.app and ctx.now == now
             origin = inv.stages[preds[0]].worker if preds else run.apps[inv.app].client
             assert ctx.payload_location == at_node == origin
-            if reads_backlog:
-                assert list(ctx.backlog) == list(ctx.candidate_workers)
-                for w, ops in ctx.backlog.items():
-                    assert ops == engine.WorkerRuntime.backlog_ops(run.workers[w], now)
-            else:
-                assert ctx.backlog == {}
-            return choose_worker(policy_kind, ctx, rr, f, input_bytes, mode)
+            assert ctx.loads is run.workers
+            assert [row[:2] for row in ctx.load_rows] == [(w, run.workers[w]) for w in ctx.candidate_workers]
+            for row in ctx.load_rows:
+                backlog = _least_backlog(now, (row,))[0].hex()
+                assert backlog == row[1].backlog_ops(now).hex() == rescan_backlog(row[1], now).hex()
+            w = choose_worker(policy_kind, ctx, rr, f, input_bytes, mode)
+            if kind is PolicyKind.LEAST_LOADED:
+                assert w == least_rescanned(ctx)
+            elif kind is PolicyKind.STATE_LOCAL:
+                host = ctx.state_host
+                assert w == (host if host in ctx.candidate_workers else least_rescanned(ctx))
+            elif kind is PolicyKind.MIN_LATENCY_ESTIMATE:
+                scores = [(reference_estimate(ctx, f, c, input_bytes, mode), c) for c in ctx.candidate_workers]
+                assert w == least(scores) == reference_choice(ctx, f, input_bytes, mode)
+                for est, c in scores:
+                    assert estimate_completion(ctx, f, c, input_bytes, mode).hex() == est.hex()
+            return w
 
         monkeypatch.setattr(engine._Run, "_on_stage_ready", record_ready)
         monkeypatch.setattr(engine, "choose_worker", spy)
-        fast = run_one(raw)
-        assert len(ready) == sum(len(inv.stages) for inv in fast.invocations) > 0
-        assert max(s.queue_wait_s for inv in fast.invocations for s in inv.stages.values()) > 0.1
-        monkeypatch.setattr(engine.WorkerRuntime, "backlog_ops", rescan_backlog)
-        assert run_one(raw) == fast
+        for raw in (chain, mesh):
+            for mode in ALL_MODES:
+                raw["state_mode"] = mode
+                ready.clear()
+                ties.clear()
+                log = run_one(raw)
+                assert len(ready) == sum(len(inv.stages) for inv in log.invocations) > 0
+                if raw is chain:
+                    assert max(s.queue_wait_s for inv in log.invocations for s in inv.stages.values()) > 0.1
+                    assert any(ties) or kind in (PolicyKind.RANDOM, PolicyKind.ROUND_ROBIN)
 
 
 class TestMinLatencyAgainstReference:
