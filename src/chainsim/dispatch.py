@@ -15,7 +15,7 @@ import numpy as np
 
 from . import state as state_mod
 from .state import StateMode
-from .topology import NodeSpec, RouteTable
+from .topology import RouteTable
 from .workflow import FunctionSpec, stage_io
 
 if TYPE_CHECKING:
@@ -50,9 +50,9 @@ class DispatchContext:
 
     The engine builds one context per run and mutates it between decisions
     (``app_id``, ``now``, ``state_host`` and ``payload_location``), so a
-    policy must not keep the context past the call. ``candidate_workers``,
-    ``workers`` and ``loads`` are fixed once the context is built, and each
-    candidate must be a key of both mappings.
+    policy must not keep the context past the call. ``candidate_workers``
+    and ``loads`` are fixed once the context is built, and each candidate
+    must be a key of ``loads``; a runtime's ``node`` is its worker's spec.
     """
 
     app_id: str
@@ -62,7 +62,6 @@ class DispatchContext:
     routes: RouteTable
     payload_location: int
     rng: np.random.Generator
-    workers: Mapping[int, NodeSpec]
     loads: Mapping[int, WorkerRuntime]
     # one row per candidate, in candidate order, derived once
     load_rows: tuple[LoadRow, ...] = field(init=False, repr=False, compare=False)
@@ -72,8 +71,9 @@ class DispatchContext:
 
 
 def _load_row(ctx: DispatchContext, w: int) -> LoadRow:
-    spec = ctx.workers[w]
-    return (w, ctx.loads[w], spec.cores * spec.core_speed, spec.core_speed)
+    wr = ctx.loads[w]
+    spec = wr.node
+    return (w, wr, spec.cores * spec.core_speed, spec.core_speed)
 
 
 @dataclass
@@ -126,7 +126,7 @@ def _least_estimate(
     worker id, as ``min`` over ``(estimate, worker)`` pairs would pick.
     """
     compute_ops, _ = stage_io(f, input_bytes)
-    nbytes = state_mod.stage_transfer_bytes(input_bytes, None, f, mode)
+    nbytes, _ = state_mod.stage_transfer_sizes(input_bytes, None, f, mode)
     classes, class_of = ctx.routes.hop_classes(ctx.payload_location, targets)
     class_xfer = [route.delay(nbytes) for route in classes]
     state = state_mod.state_delays(mode, ctx.state_host, f, targets, ctx.routes)

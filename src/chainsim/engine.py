@@ -161,8 +161,7 @@ class _Run:
         self.mode = scenario.state_mode
         self.remote = scenario.state_mode.is_remote
         self.policy = scenario.policy
-        worker_specs = {n.id: n for n in scenario.topology.workers()}
-        self.workers = {wid: WorkerRuntime(spec) for wid, spec in sorted(worker_specs.items())}
+        self.workers = {n.id: WorkerRuntime(n) for n in scenario.topology.workers()}
         self.registry = StateRegistry()
         self.rr = RrState()
         # One context serves every decision of the run: each dispatch sets the
@@ -176,7 +175,6 @@ class _Run:
             routes=self.routes,
             payload_location=-1,
             rng=wl.substream(seed, wl.STREAM_POLICY),
-            workers=worker_specs,
             loads=self.workers,
         )
         self.heap: list[tuple[float, int, int, tuple]] = []  # (time, seq, kind, data)

@@ -1,7 +1,8 @@
 """Run metrics: percentiles, CSV serialization, summary statistics.
 
-Each invocation's row is derived once, by ``_invocation_rows``; the summary's
-latency statistics and totals are a fold of those rows in ``inv_id`` order.
+Each invocation's row is derived once, by ``invocation_rows``; the runner
+writes that row list to invocations.csv and folds the same list, in ``inv_id``
+order, into the summary's latency statistics and totals.
 The CSV round-trips floats exactly (repr formatting), so recomputing a
 summary from invocations.csv reproduces the runner's numbers.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .engine import MetricsLog
 
@@ -64,21 +65,24 @@ def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
     return buf.getvalue()
 
 
-def _invocation_rows(m: MetricsLog) -> Iterator[list]:
+def invocation_rows(m: MetricsLog) -> list[list]:
     """One ``INVOCATIONS_HEADER`` row per invocation; state bytes are summed in stage order."""
+    rows = []
     for inv in m.invocations:
         state_bytes = 0.0
         migrations = 0
         for rec in inv.stages.values():
             state_bytes += rec.state_bytes
             migrations += rec.migration
-        yield [
-            inv.inv_id, inv.app, inv.arrival, inv.completion, inv.latency, len(inv.stages), state_bytes, migrations
-        ]
+        rows.append(
+            [inv.inv_id, inv.app, inv.arrival, inv.completion, inv.latency, len(inv.stages), state_bytes, migrations]
+        )
+    return rows
 
 
-def invocations_csv(m: MetricsLog) -> str:
-    return _csv_text(INVOCATIONS_HEADER, _invocation_rows(m))
+def invocations_csv(rows: Iterable[list]) -> str:
+    """invocations.csv from ``invocation_rows`` of one log."""
+    return _csv_text(INVOCATIONS_HEADER, rows)
 
 
 def links_csv(m: MetricsLog) -> str:
@@ -95,12 +99,15 @@ def plotdata_csv(records: Iterable[Mapping]) -> str:
     return _csv_text(PLOTDATA_HEADER, ([rec[key] for key in PLOTDATA_HEADER] for rec in records))
 
 
-def summary_record(m: MetricsLog) -> dict:
-    """Per-replication summary; latency stats are None when nothing completed."""
+def summary_record(m: MetricsLog, rows: Iterable[list]) -> dict:
+    """Per-replication summary of ``m``, folded from its ``invocation_rows`` in row order.
+
+    Latency stats are None when nothing completed.
+    """
     latencies = []
     state_bytes = 0.0
     migrations = 0
-    for *_, latency, _stages, row_state_bytes, row_migrations in _invocation_rows(m):
+    for *_, latency, _stages, row_state_bytes, row_migrations in rows:
         if latency is not None:
             latencies.append(latency)
         state_bytes += row_state_bytes

@@ -4,7 +4,8 @@ Replication r runs with seed base_seed + r; swept points reuse the same
 seeds so compared points share common random numbers. Each (point,
 replication) gets its own directory of CSVs; a single summary.json at the
 output root holds one record per (point, replication), in a fixed order so
-reruns are byte-identical.
+reruns are byte-identical. Every replication is run and checked before any
+file is written, so a run that fails writes nothing.
 """
 
 from __future__ import annotations
@@ -43,13 +44,15 @@ def run_sweep(sweep: SweepSpec, out_dir: str | Path, emit_plotdata: bool = False
 def _run_points(
     swept_field: str | None, points: list[tuple[Any, Scenario]], out: Path, emit_plotdata: bool
 ) -> list[PointResult]:
-    """Run and write every (point, replication); an unswept run has no point_### level."""
+    """Run and check every (point, replication), then write them all; an unswept run has no point_### level."""
     results = []
+    files: list[tuple[Path, str]] = []  # (path, text) of every output file, in write order
     for p, (value, scenario) in enumerate(points):
         point_dir = out if swept_field is None else out / f"point_{p:03d}"
         for r in range(scenario.replications):
             seed = scenario.seed + r
             log = engine.run(scenario, seed=seed)
+            rows = metrics.invocation_rows(log)
             record = {
                 "point": p,
                 "swept_field": swept_field,
@@ -57,19 +60,27 @@ def _run_points(
                 "replication": r,
                 "seed": seed,
             }
-            record.update(metrics.summary_record(log))
+            record.update(metrics.summary_record(log, rows))
             _check_finite(log, record)
-            _write_run_dir(point_dir / f"rep_{r:03d}", log)
+            rep_dir = point_dir / f"rep_{r:03d}"
+            files += [
+                (rep_dir / "invocations.csv", metrics.invocations_csv(rows)),
+                (rep_dir / "links.csv", metrics.links_csv(log)),
+                (rep_dir / "workers.csv", metrics.workers_csv(log)),
+            ]
             results.append(PointResult(p, record, log))
     records = [res.record for res in results]
-    (out / "summary.json").write_text(json.dumps({"records": records}, indent=2) + "\n", encoding="utf-8")
+    files.append((out / "summary.json", json.dumps({"records": records}, indent=2) + "\n"))
     if emit_plotdata:
-        (out / "plotdata.csv").write_text(metrics.plotdata_csv(records), encoding="utf-8")
+        files.append((out / "plotdata.csv", metrics.plotdata_csv(records)))
+    for path, text in files:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
     return results
 
 
 def _check_finite(log: engine.MetricsLog, record: dict) -> None:
-    """Refuse a replication whose summary or link totals overflowed, before any of its files is written."""
+    """Refuse a replication whose summary or link totals overflowed."""
     where = f"point {record['point']}, replication {record['replication']}"
     for key, value in record.items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -77,11 +88,3 @@ def _check_finite(log: engine.MetricsLog, record: dict) -> None:
     for (a, b), nbytes in sorted(log.link_bytes.items()):
         if not math.isfinite(nbytes):
             raise engine.EngineError(f"non-finite byte total on link {a}-{b} at {where}")
-
-
-def _write_run_dir(dirpath: Path, log: engine.MetricsLog) -> None:
-    dirpath.mkdir(parents=True, exist_ok=True)
-    (dirpath / "invocations.csv").write_text(metrics.invocations_csv(log), encoding="utf-8")
-    (dirpath / "links.csv").write_text(metrics.links_csv(log), encoding="utf-8")
-    (dirpath / "workers.csv").write_text(metrics.workers_csv(log), encoding="utf-8")
-

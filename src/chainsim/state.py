@@ -103,16 +103,6 @@ def stage_transfer_sizes(
     return nbytes, carried
 
 
-def stage_transfer_bytes(
-    data_bytes: float,
-    producer: "FunctionSpec | None",
-    consumer: "FunctionSpec | None",
-    mode: StateMode,
-) -> float:
-    """Wire size of one stage transfer: ``stage_transfer_sizes(...)[0]``."""
-    return stage_transfer_sizes(data_bytes, producer, consumer, mode)[0]
-
-
 def remote_state_access(
     mode: StateMode,
     host: int | None,

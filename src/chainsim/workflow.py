@@ -151,14 +151,6 @@ def _reachable(start: str, nbrs: Mapping[str, tuple[str, ...]]) -> set[str]:
     return seen
 
 
-def topo_order(d: DagSpec) -> list[str]:
-    """Kahn's algorithm with lowest-id-first tie-breaking."""
-    order = _kahn(d)
-    if len(order) != len(d.vertices):
-        raise ValueError("cycle detected")
-    return order
-
-
 def stage_io(f: FunctionSpec, input_bytes: float, compute_factor: float = 1.0) -> tuple[float, float]:
     """(compute operations, output bytes) for one stage at the given input size.
 
@@ -227,14 +219,10 @@ def critical_path_time(
         w = a[v]
         input_bytes = vertex_input_bytes(preds[v], outputs, entry)
         if not preds[v]:
-            arrived = transfer_delay(
-                rt, client, w, state_mod.stage_transfer_bytes(entry, None, f, mode)
-            )
+            arrived = transfer_delay(rt, client, w, state_mod.stage_transfer_sizes(entry, None, f, mode)[0])
         else:
             arrived = max(done[p] for p in preds[v]) + max(
-                transfer_delay(
-                    rt, a[p], w, state_mod.stage_transfer_bytes(outputs[p], functions[p], f, mode)
-                )
+                transfer_delay(rt, a[p], w, state_mod.stage_transfer_sizes(outputs[p], functions[p], f, mode)[0])
                 for p in preds[v]
             )
         access = state_mod.remote_state_access(mode, reg.get(d.app_id, v), f, w, rt)
@@ -247,5 +235,5 @@ def critical_path_time(
     sink = d.sink
     f_sink = functions[sink]
     return done[sink] + transfer_delay(
-        rt, a[sink], client, state_mod.stage_transfer_bytes(outputs[sink], f_sink, None, mode)
+        rt, a[sink], client, state_mod.stage_transfer_sizes(outputs[sink], f_sink, None, mode)[0]
     )

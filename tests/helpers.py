@@ -136,9 +136,12 @@ def enumerate_critical_path(
     cost of a path's step into a vertex is the slowest of all its input
     transfers, not the one along the path.
     """
-    from chainsim.state import stage_transfer_bytes
+    from chainsim.state import stage_transfer_sizes
     from chainsim.topology import transfer_delay
-    from chainsim.workflow import stage_io, topo_order, vertex_input_bytes
+    from chainsim.workflow import stage_io, vertex_input_bytes
+
+    def wire(data, producer, consumer):
+        return stage_transfer_sizes(data, producer, consumer, mode)[0]
 
     entry = dag.entry_payload if entry_payload is None else entry_payload
     preds, succs = dag.preds, dag.succs
@@ -147,7 +150,7 @@ def enumerate_critical_path(
     outputs: dict[str, float] = {}
     vertex_cost: dict[str, tuple[float, float]] = {}  # (state delay, compute s)
     inbound: dict[str, float] = {}  # slowest input transfer of each non-source vertex
-    for v in topo_order(dag):
+    for v in _level_order(dag):
         f = functions[v]
         input_bytes = vertex_input_bytes(preds[v], outputs, entry)
         compute_ops, out_bytes = stage_io(f, input_bytes)
@@ -160,7 +163,7 @@ def enumerate_critical_path(
                     routes,
                     assignment[p],
                     assignment[v],
-                    stage_transfer_bytes(outputs[p], functions[p], f, mode),
+                    wire(outputs[p], functions[p], f),
                 )
                 for p in preds[v]
             )
@@ -175,20 +178,29 @@ def enumerate_critical_path(
         t = t + state_delay
         t += compute_s
         if v == sink:
-            t += transfer_delay(
-                routes, assignment[v], client, stage_transfer_bytes(outputs[v], f, None, mode)
-            )
+            t += transfer_delay(routes, assignment[v], client, wire(outputs[v], f, None))
             if t > best:
                 best = t
             return
         for q in succs[v]:
             walk(q, t + inbound[q])
 
-    t0 = transfer_delay(
-        routes, client, assignment[source], stage_transfer_bytes(entry, None, functions[source], mode)
-    )
+    t0 = transfer_delay(routes, client, assignment[source], wire(entry, None, functions[source]))
     walk(source, t0)
     return best
+
+
+def _level_order(dag) -> list[str]:
+    """The DAG's vertices, level by level and sorted within a level, so each comes after its producers."""
+    order: list[str] = []
+    placed: set[str] = set()
+    while len(order) < len(dag.vertices):
+        level = sorted(v for v in dag.vertices if v not in placed and placed.issuperset(dag.preds[v]))
+        if not level:
+            raise ValueError("cycle detected")
+        order += level
+        placed.update(level)
+    return order
 
 
 # -- dispatch -----------------------------------------------------------------
@@ -220,12 +232,13 @@ def reference_estimate(ctx, f, w, input_bytes, mode) -> float:
     One ``transfer_delay`` and one ``remote_state_access`` per worker, with
     the terms added in the library's stated order.
     """
-    from chainsim.state import stage_transfer_bytes
+    from chainsim.state import stage_transfer_sizes
     from chainsim.topology import transfer_delay
     from chainsim.workflow import stage_io
 
-    spec = ctx.workers[w]
-    est = transfer_delay(ctx.routes, ctx.payload_location, w, stage_transfer_bytes(input_bytes, None, f, mode))
+    spec = ctx.loads[w].node
+    wire, _state = stage_transfer_sizes(input_bytes, None, f, mode)
+    est = transfer_delay(ctx.routes, ctx.payload_location, w, wire)
     est += remote_state_access(mode, ctx.state_host, f, w, ctx.routes).delay
     compute_ops, _ = stage_io(f, input_bytes)
     est += rescan_backlog(ctx.loads[w], ctx.now) / (spec.cores * spec.core_speed)

@@ -221,7 +221,7 @@ def test_criterion_07_state_properties():
         )
         log = engine.run(_build(raw))
         vectors[mode] = [inv.latency for inv in log.invocations]
-        assert metrics.summary_record(log)["total_state_bytes"] == 0.0
+        assert metrics.summary_record(log, metrics.invocation_rows(log))["total_state_bytes"] == 0.0
     assert vectors["embedded"] == vectors["remote_fixed"] == vectors["remote_migrate"]
 
     # (b) state_local + remote_fixed never moves state bytes
@@ -231,7 +231,7 @@ def test_criterion_07_state_properties():
     )
     log = engine.run(_build(raw))
     assert log.completed > 50
-    assert metrics.summary_record(log)["total_state_bytes"] == 0.0
+    assert metrics.summary_record(log, metrics.invocation_rows(log))["total_state_bytes"] == 0.0
 
     # (c) pinned two-worker ping-pong: exactly two invocations, round robin
     # sends them to w1 then w2; fixed pays fetch+writeback where migrate
@@ -244,7 +244,7 @@ def test_criterion_07_state_properties():
         )
         log = engine.run(_build(raw, explicit={"app": [0.0, 1.0]}))
         assert log.injected == 2
-        totals[mode] = metrics.summary_record(log)["total_state_bytes"]
+        totals[mode] = metrics.summary_record(log, metrics.invocation_rows(log))["total_state_bytes"]
     assert totals["remote_migrate"] == size
     assert totals["remote_fixed"] == 2 * size
     assert totals["remote_fixed"] == 2 * totals["remote_migrate"]
@@ -291,7 +291,6 @@ def test_criterion_08_policy_oracle():
             routes=rt,
             payload_location=0,
             rng=np.random.default_rng(k),
-            workers=workers,
             loads=loaded_runtimes(workers, backlog),
         )
         mode = StateMode(rng.choice(ALL_MODES))
@@ -326,7 +325,6 @@ def test_criterion_09_statistical_sanity():
         routes=rt,
         payload_location=0,
         rng=np.random.default_rng(909),
-        workers=workers,
         loads=loaded_runtimes(workers, {}),
     )
     f = FunctionSpec("f", fixed_ops=1.0)
@@ -352,7 +350,6 @@ def test_criterion_09_statistical_sanity():
             routes=rt,
             payload_location=0,
             rng=np.random.default_rng(0),
-            workers=sub_workers,
             loads=loaded_runtimes(sub_workers, {}),
         )
         rr = RrState()

@@ -395,6 +395,19 @@ class TestSweep:
             "embedded", "remote_fixed", "remote_migrate",
         ]
 
+    def test_failed_point_writes_nothing(self, tmp_path, capsys):
+        # point 0 (remote_migrate) passes; point 1 (embedded) overflows its state total
+        base = load_json(CONFIGS / "two_worker_chain.json")
+        base["workload"]["horizon"] = 2
+        base["workflows"][0]["functions"][0]["state_size"] = 1e308
+        sweep = {"base": base, "field": "state_mode", "values": ["remote_migrate", "embedded"]}
+        path = write_config(tmp_path, sweep, "sweep.json")
+        out = tmp_path / "out"
+        assert main(["sweep", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "runtime error: non-finite total_state_bytes at point 1, replication 0\n"
+        assert list(out.glob("point_*")) == []
+        assert not (out / "summary.json").exists()
+
     def test_link_rate_sweep(self, tmp_path):
         sweep = {
             "base": chain_scenario_raw(rate=10.0, horizon=2.0),
@@ -557,12 +570,23 @@ def summary_mismatches(out: Path, horizons: dict[int, float]) -> tuple[list, int
 class TestSummaryRecompute:
     """summary.json totals and latency statistics are exactly the fold of invocations.csv."""
 
-    def test_offline_recompute_matches(self, tmp_path):
+    def test_offline_recompute_matches(self, tmp_path, monkeypatch):
+        from chainsim import metrics
+
+        derived = []
+        invocation_rows = metrics.invocation_rows
+
+        def counting(log):
+            derived.append(log)
+            return invocation_rows(log)
+
+        monkeypatch.setattr(metrics, "invocation_rows", counting)
         cfg_raw = chain_scenario_raw(rate=30.0, horizon=3.0, replications=2, state_size=2000.0,
                                      policy="round_robin", state_mode="remote_migrate")
         cfg = write_config(tmp_path, cfg_raw)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert len(derived) == 2  # one row derivation per replication
         assert summary_mismatches(out, {0: cfg_raw["workload"]["horizon"]}) == ([], 2)
 
     @pytest.mark.parametrize("name", [*VALID, "sweep_rates.json"])

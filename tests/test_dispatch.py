@@ -52,7 +52,6 @@ def make_ctx(
         routes=rt,
         payload_location=payload_location,
         rng=np.random.default_rng(seed),
-        workers=workers,
         loads=loaded_runtimes(workers, backlog or {}),
     )
 

@@ -95,7 +95,8 @@ class TestDeterminism:
     def test_same_seed_identical_metrics(self):
         raw = chain_scenario_raw(n_workers=2, chain_len=2, policy="random", rate=20.0, horizon=5.0)
         a, b = run_one(raw), run_one(raw)
-        assert metrics.invocations_csv(a) == metrics.invocations_csv(b)
+        csv_a, csv_b = (metrics.invocations_csv(metrics.invocation_rows(log)) for log in (a, b))
+        assert csv_a == csv_b
         assert metrics.links_csv(a) == metrics.links_csv(b)
         assert metrics.workers_csv(a) == metrics.workers_csv(b)
 
@@ -465,7 +466,8 @@ class TestMinLatencyAgainstReference:
         with monkeypatch.context() as m:
             m.setattr(engine, "choose_worker", reference_chooser)
             expected = engine.run(sc)
-        assert metrics.summary_record(expected)["total_migrations"] > 0 or mode != "remote_migrate"
+        migrations = metrics.summary_record(expected, metrics.invocation_rows(expected))["total_migrations"]
+        assert migrations > 0 or mode != "remote_migrate"
         assert engine.run(sc) == expected  # the route table's memo fills
         assert engine.run(sc) == expected  # and is reused by the next run
 

@@ -9,7 +9,7 @@ from chainsim.state import (
     StateMode,
     StateRegistry,
     remote_state_access,
-    stage_transfer_bytes,
+    stage_transfer_sizes,
 )
 from chainsim.topology import build_routes, transfer_delay
 from chainsim.workflow import FunctionSpec
@@ -33,27 +33,27 @@ def stateful(size=1000.0):
 class TestEmbeddedOverhead:
     def test_stateless_is_free(self):
         f = stateful(0.0)
-        assert stage_transfer_bytes(0.0, f, None, StateMode.EMBEDDED) == 0.0
-        assert stage_transfer_bytes(0.0, None, f, StateMode.EMBEDDED) == 0.0
+        assert stage_transfer_sizes(0.0, f, None, StateMode.EMBEDDED) == (0.0, 0.0)
+        assert stage_transfer_sizes(0.0, None, f, StateMode.EMBEDDED) == (0.0, 0.0)
 
     def test_embedded_carries_state_size(self):
         f = stateful(4096.0)
-        assert stage_transfer_bytes(0.0, f, None, StateMode.EMBEDDED) == 4096.0
-        assert stage_transfer_bytes(0.0, None, f, StateMode.EMBEDDED) == 4096.0
+        assert stage_transfer_sizes(0.0, f, None, StateMode.EMBEDDED) == (4096.0, 4096.0)
+        assert stage_transfer_sizes(0.0, None, f, StateMode.EMBEDDED) == (4096.0, 4096.0)
 
     def test_remote_modes_add_nothing(self):
         f = stateful(4096.0)
         for mode in (StateMode.REMOTE_FIXED, StateMode.REMOTE_MIGRATE):
-            assert stage_transfer_bytes(0.0, f, None, mode) == 0.0
-            assert stage_transfer_bytes(0.0, None, f, mode) == 0.0
+            assert stage_transfer_sizes(0.0, f, None, mode) == (0.0, 0.0)
+            assert stage_transfer_sizes(0.0, None, f, mode) == (0.0, 0.0)
 
-    def test_stage_transfer_bytes_adds_both_sides(self):
+    def test_stage_transfer_sizes_adds_both_sides(self):
         p = FunctionSpec("p", fixed_ops=1.0, state_size=100.0)
         q = FunctionSpec("q", fixed_ops=1.0, state_size=30.0)
-        assert stage_transfer_bytes(1000.0, p, q, StateMode.EMBEDDED) == 1130.0
-        assert stage_transfer_bytes(1000.0, None, q, StateMode.EMBEDDED) == 1030.0
-        assert stage_transfer_bytes(1000.0, p, None, StateMode.EMBEDDED) == 1100.0
-        assert stage_transfer_bytes(1000.0, p, q, StateMode.REMOTE_FIXED) == 1000.0
+        assert stage_transfer_sizes(1000.0, p, q, StateMode.EMBEDDED) == (1130.0, 130.0)
+        assert stage_transfer_sizes(1000.0, None, q, StateMode.EMBEDDED) == (1030.0, 30.0)
+        assert stage_transfer_sizes(1000.0, p, None, StateMode.EMBEDDED) == (1100.0, 100.0)
+        assert stage_transfer_sizes(1000.0, p, q, StateMode.REMOTE_FIXED) == (1000.0, 0.0)
 
 
 class TestRemoteStateAccess:

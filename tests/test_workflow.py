@@ -14,7 +14,6 @@ from chainsim.workflow import (
     FunctionSpec,
     critical_path_time,
     stage_io,
-    topo_order,
     validate_dag,
     vertex_input_bytes,
 )
@@ -259,10 +258,6 @@ class TestCriticalPathTime:
 
 
 class TestTopoOrder:
-    def test_kahn_lowest_id_first(self):
-        d = diamond()
-        assert topo_order(d) == ["f1", "f2", "f3", "f4"]
-
     def test_join_inputs_sum_in_sorted_pred_order(self):
         outputs = {"f2": 10.0, "f3": 20.0}
         assert vertex_input_bytes(("f2", "f3"), outputs, 999.0) == 30.0
