@@ -1,10 +1,14 @@
 """Deterministic discrete-event simulator for chain/DAG invocations.
 
 Events are ``(time, seq, kind, data)`` tuples processed in (time, seq)
-order, seq being creation order, which totally orders simultaneous events.
-Arrivals are injected in [0, horizon); in-flight work drains, so a run
-terminates exactly when the event queue is empty. Given a scenario
-(including seed) the produced metrics are a pure function of the inputs.
+order, which totally orders simultaneous events. Arrivals are drawn and
+numbered up front in [0, horizon), arrival ``i`` taking ``seq = i``, but
+only the next one is on the heap: handling arrival ``i`` pushes ``i + 1``.
+Every other event takes the next seq after the arrivals, in creation order,
+so the pop order is that of a heap holding every arrival from the start.
+In-flight work drains, so a run terminates exactly when the heap is empty.
+Given a scenario (including seed) the produced metrics are a pure function
+of the inputs.
 """
 
 from __future__ import annotations
@@ -178,7 +182,7 @@ class _Run:
             loads=self.workers,
         )
         self.heap: list[tuple[float, int, int, tuple]] = []  # (time, seq, kind, data)
-        self.seq = count()
+        self.seq = count()  # restarted after the arrivals, which take seq 0..n-1
         self.invocations: list[InvocationRecord] = []  # indexed by inv_id
         self.link_bytes: dict[tuple[int, int], float] = {
             link.pair: 0.0 for link in scenario.topology.links
@@ -219,10 +223,18 @@ class _Run:
                 merged.append((t, app_idx, app_id, payload, factor))
         merged.sort(key=lambda item: (item[0], item[1]))
         for inv_id, (t, _idx, app_id, payload, factor) in enumerate(merged):
+            if not math.isfinite(t):
+                raise EngineError(f"non-finite event time {t} for kind {ARRIVAL}")
             self.invocations.append(
                 InvocationRecord(inv_id=inv_id, app=app_id, arrival=t, payload=payload, compute_factor=factor)
             )
-            self.schedule(t, ARRIVAL, (inv_id,))
+        self.seq = count(len(merged))
+        self._push_arrival(0)
+
+    def _push_arrival(self, inv_id: int) -> None:
+        """Put arrival ``inv_id``, if there is one, on the heap with ``seq = inv_id``."""
+        if inv_id < len(self.invocations):
+            heapq.heappush(self.heap, (self.invocations[inv_id].arrival, inv_id, ARRIVAL, (inv_id,)))
 
     # -- transfers ---------------------------------------------------------
 
@@ -256,6 +268,7 @@ class _Run:
         (inv_id,) = data
         app = self.apps[self.invocations[inv_id].app]
         self.schedule(now, STAGE_READY, (inv_id, app.dag.source, app.client))
+        self._push_arrival(inv_id + 1)
 
     def _on_stage_ready(self, now: float, data: tuple) -> None:
         inv_id, fid, at_node = data

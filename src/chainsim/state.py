@@ -116,11 +116,17 @@ def remote_state_access(
     (the first dispatch places it at the executor) and for co-located
     execution. Otherwise remote_fixed pays fetch plus write-back against the
     host and remote_migrate pays a single transfer to the executor. Pure:
-    the caller records a migration with ``StateRegistry.move``.
+    the caller records a migration with ``StateRegistry.move``. Routes are
+    static, so each priced access is memoized on ``rt`` per
+    ``(mode, host, exec_node, state_size)`` and the frozen result is shared.
     """
     size = f.state_size
     if host is None or host == exec_node or size == 0 or not mode.is_remote:
         return ZERO_ACCESS
+    return rt.memo((mode, host, exec_node, size), lambda: _price_access(mode, host, exec_node, size, rt))
+
+
+def _price_access(mode: StateMode, host: int, exec_node: int, size: float, rt: RouteTable) -> StateAccess:
     if mode is StateMode.REMOTE_FIXED:
         legs = ((host, exec_node), (exec_node, host))
     else:
@@ -145,10 +151,17 @@ def state_delays(
 ) -> tuple[float, ...]:
     """``remote_state_access(...).delay`` at each of ``targets``.
 
-    Routes and state sizes are static, so the vector is memoized on ``rt``
-    per ``(host, targets, state_size, mode)``.
+    Targets whose routes from ``host`` have equal hops have equal reverse
+    hops too, so bit-equal delays for both legs: each hop class is priced
+    once, at its first target. The vector is memoized on ``rt`` per
+    ``(host, targets, state_size, mode)``.
     """
-    return rt.memo(
-        ("state", host, targets, f.state_size, mode),
-        lambda: tuple(remote_state_access(mode, host, f, w, rt).delay for w in targets),
-    )
+
+    def build() -> tuple[float, ...]:
+        if host is None:
+            return (0.0,) * len(targets)
+        classes, class_of = rt.hop_classes(host, targets)
+        priced = [remote_state_access(mode, host, f, route.path[-1], rt).delay for route in classes]
+        return tuple(priced[c] for c in class_of)
+
+    return rt.memo(("state", host, targets, f.state_size, mode), build)

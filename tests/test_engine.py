@@ -500,6 +500,72 @@ class TestStateRegistryReads:
         assert sorted(reads) == sorted(stateful)
 
 
+class TestLazyArrivals:
+    """Only the next arrival waits on the heap; events pop as from a heap of every arrival."""
+
+    @staticmethod
+    def record_pops(monkeypatch) -> list:
+        """Stand in for the ``heapq`` the engine imported, as the benchmark's tracer does.
+
+        Each entry is the popped event and the number of arrivals on the heap before the pop.
+        """
+        pops = []
+        real = engine.heapq
+
+        class RecordingHeapq:
+            heappush = staticmethod(real.heappush)
+
+            @staticmethod
+            def heappop(heap):
+                waiting = sum(item[2] == engine.ARRIVAL for item in heap)
+                item = real.heappop(heap)
+                pops.append((item, waiting))
+                return item
+
+        monkeypatch.setattr(engine, "heapq", RecordingHeapq)
+        return pops
+
+    @staticmethod
+    def eager_push(run, inv_id):
+        """Every arrival on the heap at the start, each with ``seq = inv_id``."""
+        if inv_id == 0:
+            for i, inv in enumerate(run.invocations):
+                engine.heapq.heappush(run.heap, (inv.arrival, i, engine.ARRIVAL, (i,)))
+
+    @pytest.mark.parametrize("explicit", [None, {"alerts": [0.0, 0.5, 0.5, 1.0, 2.0], "fanout": [0.0, 0.5, 1.0, 1.0]}])
+    def test_one_arrival_waits_and_order_is_unchanged(self, explicit, monkeypatch):
+        sc = build(load_json(CONFIGS / "multi_app.json"), explicit)
+        pops = self.record_pops(monkeypatch)
+        log = engine.run(sc)
+        n = log.injected
+        assert n > 0 and len({inv.app for inv in log.invocations}) == 2
+        assert max(waiting for _item, waiting in pops) <= 1
+        keys = [item[:2] for item, _waiting in pops]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        arrivals = [item for item, _waiting in pops if item[2] == engine.ARRIVAL]
+        assert arrivals == [(inv.arrival, i, engine.ARRIVAL, (i,)) for i, inv in enumerate(log.invocations)]
+        if explicit is not None:
+            times = [inv.arrival for inv in log.invocations]
+            assert len(set(times)) < n  # equal times, broken by app order
+            assert [inv.app for inv in log.invocations][:2] == ["alerts", "fanout"]
+
+        lazy = [item for item, _waiting in pops]
+        pops.clear()
+        monkeypatch.setattr(engine._Run, "_push_arrival", self.eager_push)
+        assert engine.run(sc) == log
+        assert [item for item, _waiting in pops] == lazy
+
+    @pytest.mark.parametrize("late", [False, True])
+    def test_nan_arrival_raises_before_any_event(self, late, monkeypatch):
+        explicit = {"alerts": [0.0, 1.0], "fanout": [0.5, 2.0]}
+        explicit["fanout" if late else "alerts"][-1 if late else 0] = math.nan
+        sc = build(load_json(CONFIGS / "multi_app.json"), explicit)
+        pops = self.record_pops(monkeypatch)
+        with pytest.raises(engine.EngineError, match="non-finite event time nan"):
+            engine.run(sc)
+        assert pops == []
+
+
 class TestEngineErrors:
     def test_invalid_delay_aborts(self):
         raw = chain_scenario_raw()

@@ -10,8 +10,9 @@ from chainsim.state import (
     StateRegistry,
     remote_state_access,
     stage_transfer_sizes,
+    state_delays,
 )
-from chainsim.topology import build_routes, transfer_delay
+from chainsim.topology import Route, build_routes, transfer_delay
 from chainsim.workflow import FunctionSpec
 
 from helpers import make_topology
@@ -163,3 +164,100 @@ class TestRegistryMove:
         reg.seed("app", "f", host=1)
         with pytest.raises(ValueError):
             reg.seed("app", "f", host=2)
+
+
+def random_mesh(rng: random.Random):
+    """Workers behind brokers over two link kinds, so many routes share hop sequences."""
+    n_brokers, n_workers = rng.randint(1, 3), rng.randint(2, 8)
+    brokers = list(range(1, 1 + n_brokers))
+    workers = list(range(1 + n_brokers, 1 + n_brokers + n_workers))
+    kinds = [(0.001, 1e6), (0.002, 1e7)]
+    links = {(0, 1): kinds[0]}
+    for b in brokers[1:]:
+        links[(b - 1, b)] = rng.choice(kinds)
+    for w in workers:
+        links[(rng.choice(brokers), w)] = rng.choice(kinds)
+    for _ in range(rng.randint(0, 2)):
+        a, b = sorted(rng.sample(workers, 2))
+        links.setdefault((a, b), rng.choice(kinds))
+    topo = make_topology(
+        [(0, "client")] + [(b, "broker") for b in brokers] + [(w, "worker", 1, 1e6) for w in workers],
+        [(a, b, prop, rate) for (a, b), (prop, rate) in links.items()],
+    )
+    return topo, tuple(workers)
+
+
+def reference_access(mode, host, f, exec_node, rt) -> StateAccess:
+    """The access priced from scratch: one ``transfer_delay`` per leg, added in leg order."""
+    size = f.state_size
+    if host is None or host == exec_node or size == 0 or not mode.is_remote:
+        return StateAccess(0.0, 0.0)
+    legs = ((host, exec_node), (exec_node, host)) if mode is StateMode.REMOTE_FIXED else ((host, exec_node),)
+    delay = 0.0
+    for src, dst in legs:
+        delay += transfer_delay(rt, src, dst, size)
+    return StateAccess(delay, len(legs) * size, mode is StateMode.REMOTE_MIGRATE, legs)
+
+
+SIZES = (0.0, 1000.0, 20000.0)
+MESH_SEEDS = range(12)
+
+
+class TestMemoizedStateAccess:
+    @pytest.mark.parametrize("seed", MESH_SEEDS)
+    def test_memo_equals_reference_on_a_shared_table(self, seed):
+        # One table serves every call, so a memo key that leaves out the
+        # mode, host, executor or size returns an access priced for another.
+        topo, workers = random_mesh(random.Random(seed))
+        rt = build_routes(topo)
+        for size in SIZES:
+            f = stateful(size)
+            for mode in StateMode:
+                for host in (None,) + workers:
+                    for w in workers:
+                        got = remote_state_access(mode, host, f, w, rt)
+                        want = reference_access(mode, host, f, w, rt)
+                        assert got == want and got.delay.hex() == want.delay.hex()
+                        assert remote_state_access(mode, host, f, w, rt) is got
+
+    @pytest.mark.parametrize("seed", MESH_SEEDS)
+    def test_state_delays_equal_per_target_delays(self, seed):
+        rng = random.Random(seed)
+        topo, workers = random_mesh(rng)
+        rt = build_routes(topo)
+        subset = tuple(rng.sample(workers, rng.randint(1, len(workers))))
+        for size in SIZES:
+            f = stateful(size)
+            for mode in StateMode:
+                for host in (None,) + workers:
+                    for targets in (workers, subset):
+                        got = state_delays(mode, host, f, targets, rt)
+                        want = [remote_state_access(mode, host, f, w, rt).delay for w in targets]
+                        assert [d.hex() for d in got] == [d.hex() for d in want]
+                        assert want == [reference_access(mode, host, f, w, rt).delay for w in targets]
+
+    def test_one_route_delay_per_hop_class_and_leg(self, monkeypatch):
+        calls = []
+        delay = Route.delay
+
+        def counting_delay(route, nbytes):
+            calls.append(route.path)
+            return delay(route, nbytes)
+
+        monkeypatch.setattr(Route, "delay", counting_delay)
+        shared = 0
+        for seed in MESH_SEEDS:
+            topo, workers = random_mesh(random.Random(seed))
+            for mode in (StateMode.REMOTE_FIXED, StateMode.REMOTE_MIGRATE):
+                for host in workers:
+                    rt = build_routes(topo)
+                    classes, _ = rt.hop_classes(host, workers)
+                    legs = 2 if mode is StateMode.REMOTE_FIXED else 1
+                    calls.clear()
+                    state_delays(mode, host, stateful(), workers, rt)
+                    assert len(calls) == legs * sum(route.path[-1] != host for route in classes)
+                    calls.clear()
+                    state_delays(mode, host, stateful(), workers, rt)
+                    assert calls == []
+                    shared += len(classes) < len(workers)
+        assert shared > 0  # some fills price fewer classes than targets
