@@ -18,14 +18,15 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
+from typing import NamedTuple
 
 from . import state as state_mod
 from . import workload as wl
-from .config import AppWorkflow, Scenario
-from .dispatch import DispatchContext, PolicyKind, RrState, choose_worker
-from .state import StateRegistry, remote_state_access
-from .topology import NodeSpec, Route
-from .workflow import stage_io, vertex_input_bytes
+from .config import Scenario
+from .dispatch import DispatchContext, RrState, choose_worker
+from .state import StateRegistry, remote_state_access, stage_transfer_sizes
+from .topology import NodeSpec
+from .workflow import FunctionSpec, stage_io, vertex_input_bytes
 
 ARRIVAL = 0
 STAGE_READY = 1
@@ -34,14 +35,14 @@ EXEC_DONE = 3
 DELIVERED = 4
 
 # One stage's job: the data of its EXEC_START and EXEC_DONE events.
-Job = tuple[int, str, int, float, float]  # inv_id, fid, worker, out_bytes, ops
+Job = tuple[int, str, int, float, float, "StageRecord"]  # inv_id, fid, worker, out_bytes, ops, record
 
 
 class EngineError(RuntimeError):
     """Model-level failure (non-finite delay, inconsistent event order)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class StageRecord:
     """Measurements for one executed stage of one invocation."""
 
@@ -56,7 +57,7 @@ class StageRecord:
     link_bytes: float = 0.0  # bytes x link-crossings attributed to this stage
 
 
-@dataclass
+@dataclass(slots=True)
 class InvocationRecord:
     inv_id: int
     app: str
@@ -85,6 +86,52 @@ class MetricsLog:
     in_flight_at_end: int
     end_time: float
     horizon: float
+
+
+class _StagePlan(NamedTuple):
+    """What the handlers read of one stage of one app; fixed for the run.
+
+    A hop's sizes are the producer's embedded state, the consumer's and the
+    carried state part, each from ``stage_transfer_sizes``; a missing
+    endpoint's size is 0.0.
+    """
+
+    f: FunctionSpec
+    preds: tuple[str, ...]
+    succs: tuple[tuple[str, tuple[str, ...]], ...] | None  # (successor, its preds); None for the sink
+    stateful: bool  # remote mode and state_size > 0
+    client: int
+    inputs: tuple[tuple[str | None, float, float, float], ...]  # (pred, *sizes) per pred; (None, *sizes) at the source
+    delivery: tuple[float, float, float] | None  # the sink's hop sizes
+
+
+def _plans(scenario: Scenario) -> dict[str, dict[str, _StagePlan]]:
+    """One plan per ``(app, fid)``."""
+    mode = scenario.state_mode
+
+    def hop(producer: FunctionSpec | None, consumer: FunctionSpec | None) -> tuple[float, float, float]:
+        return (
+            stage_transfer_sizes(0.0, producer, None, mode)[1],
+            stage_transfer_sizes(0.0, None, consumer, mode)[1],
+            stage_transfer_sizes(0.0, producer, consumer, mode)[1],
+        )
+
+    plans: dict[str, dict[str, _StagePlan]] = {}
+    for app_id, app in scenario.apps.items():
+        fns, dag = app.functions, app.dag
+        plans[app_id] = {
+            fid: _StagePlan(
+                f=f,
+                preds=dag.preds[fid],
+                succs=tuple((q, dag.preds[q]) for q in dag.succs[fid]) if fid != dag.sink else None,
+                stateful=mode.is_remote and f.state_size > 0,
+                client=app.client,
+                inputs=tuple((p, *hop(fns[p], f)) for p in dag.preds[fid]) or ((None, *hop(None, f)),),
+                delivery=hop(f, None) if fid == dag.sink else None,
+            )
+            for fid, f in fns.items()
+        }
+    return plans
 
 
 # Every finite float is an integer multiple of 2**-1074, the least subnormal,
@@ -163,8 +210,8 @@ class _Run:
         self.apps = scenario.apps
         self.routes = scenario.routes
         self.mode = scenario.state_mode
-        self.remote = scenario.state_mode.is_remote
         self.policy = scenario.policy
+        self.plans = _plans(scenario)
         self.workers = {n.id: WorkerRuntime(n) for n in scenario.topology.workers()}
         self.registry = StateRegistry()
         self.rr = RrState()
@@ -238,8 +285,11 @@ class _Run:
 
     # -- transfers ---------------------------------------------------------
 
-    def _charge_links(self, src: int, dst: int, nbytes: float, rec: StageRecord) -> Route:
-        """Charge ``nbytes`` to every link from ``src`` to ``dst``, in path order, and to the stage."""
+    def _hop(self, src: int, dst: int, nbytes: float, carried: float, rec: StageRecord) -> float:
+        """Delay of one stage transfer of ``nbytes`` on the wire, charged to links and ``rec`` in path order.
+
+        ``carried`` is the embedded state in the wire size; it is state traffic only when the hop crosses the network.
+        """
         route = self.routes.route(src, dst)
         link_bytes = self.link_bytes
         charged = rec.link_bytes
@@ -247,19 +297,11 @@ class _Run:
             link_bytes[key] += nbytes
             charged += nbytes
         rec.link_bytes = charged
-        return route
-
-    def _hop(self, src: int, dst: int, data_bytes: float, producer, consumer, rec: StageRecord) -> float:
-        """Delay of one stage transfer (entry, join input or delivery), charged to links and ``rec``.
-
-        Embedded state rides in the wire size; it is state traffic only when the hop crosses the network.
-        """
-        nbytes, state_bytes = state_mod.stage_transfer_sizes(data_bytes, producer, consumer, self.mode)
-        delay = self._charge_links(src, dst, nbytes, rec).delay(nbytes)
+        if src != dst:
+            rec.state_bytes += carried
+        delay = route.delay(nbytes)
         if not math.isfinite(delay):
             raise EngineError(f"non-finite transfer delay {src}->{dst} for {nbytes} bytes")
-        if src != dst:
-            rec.state_bytes += state_bytes
         return delay
 
     # -- handlers ------------------------------------------------------------
@@ -273,56 +315,61 @@ class _Run:
     def _on_stage_ready(self, now: float, data: tuple) -> None:
         inv_id, fid, at_node = data
         inv = self.invocations[inv_id]
-        app = self.apps[inv.app]
-        f = app.functions[fid]
-        preds = app.dag.preds[fid]
-        input_bytes = vertex_input_bytes(preds, inv.outputs, inv.payload)
+        plan = self.plans[inv.app][fid]
+        f = plan.f
+        preds = plan.preds
+        outputs = inv.outputs
+        input_bytes = vertex_input_bytes(preds, outputs, inv.payload)
 
         # State is resolved at dispatch time from one registry read, which the
         # policy sees too: first touch seeds the host at the chosen worker for
         # free, later touches pay the mode's cost and a migration moves the
         # host to the executor at once.
-        stateful = self.remote and f.state_size > 0
-        host = self.registry.get(inv.app, fid) if stateful else None
+        host = self.registry.get(inv.app, fid) if plan.stateful else None
         ctx = self.ctx
         ctx.app_id = inv.app
         ctx.now = now
         ctx.state_host = host
         ctx.payload_location = at_node
         w = choose_worker(self.policy, ctx, self.rr, f, input_bytes, self.mode)
-        rec = StageRecord(worker=w, dispatch_time=now)
-        inv.stages[fid] = rec
 
         access = state_mod.ZERO_ACCESS
+        charged = 0.0
         if host is not None:
             access = remote_state_access(self.mode, host, f, w, self.routes)
+            size = f.state_size
+            link_bytes = self.link_bytes
             for src, dst in access.legs:
-                self._charge_links(src, dst, f.state_size, rec)
+                for key in self.routes.route(src, dst).links:
+                    link_bytes[key] += size
+                    charged += size
             if access.migration:
                 self.registry.move(inv.app, fid, w)
-        elif stateful:
+        elif plan.stateful:
             self.registry.seed(inv.app, fid, w)
-        rec.state_delay_s = access.delay
-        rec.state_bytes = access.bytes_moved
-        rec.migration = access.migration
+        rec = StageRecord(w, now, state_delay_s=access.delay, state_bytes=access.bytes_moved,
+                          migration=access.migration, link_bytes=charged)
+        inv.stages[fid] = rec
 
         if not preds:
-            d_in = self._hop(at_node, w, inv.payload, None, f, rec)
+            ((_, producer, consumer, carried),) = plan.inputs
+            d_in = self._hop(at_node, w, inv.payload + producer + consumer, carried, rec)
         else:
             # Predecessor outputs are retained at their producers and move in
             # parallel once the join executor is known: the slowest transfer
-            # gates the stage.
-            d_in = max(
-                self._hop(inv.stages[p].worker, w, inv.outputs[p], app.functions[p], f, rec)
-                for p in preds
-            )
+            # gates the stage, the first of equals as with ``max``.
+            stages = inv.stages
+            d_in = -math.inf
+            for p, producer, consumer, carried in plan.inputs:
+                d = self._hop(stages[p].worker, w, outputs[p] + producer + consumer, carried, rec)
+                if d > d_in:
+                    d_in = d
         rec.transfer_s = d_in
 
         ops, out_bytes = stage_io(f, input_bytes, inv.compute_factor)
         if not math.isfinite(ops):
             raise EngineError(f"non-finite compute demand for {fid}")
-        t_enq = now + d_in + access.delay
-        self.schedule(t_enq, EXEC_START, (inv_id, fid, w, out_bytes, ops))
+        self.schedule(now + d_in + access.delay, EXEC_START, (inv_id, fid, w, out_bytes, ops, rec))
 
     def _on_exec_start(self, now: float, job: Job) -> None:
         wr = self.workers[job[2]]
@@ -335,11 +382,10 @@ class _Run:
         self._start_on_core(wr, core, job, now, now)
 
     def _start_on_core(self, wr: WorkerRuntime, core: int, job: Job, t_enq: float, now: float) -> None:
-        inv_id, fid, w, _out_bytes, ops = job
-        duration = ops / wr.node.core_speed
+        duration = job[4] / wr.node.core_speed
         if not math.isfinite(duration):
-            raise EngineError(f"non-finite service time on worker {w}")
-        rec = self.invocations[inv_id].stages[fid]
+            raise EngineError(f"non-finite service time on worker {job[2]}")
+        rec = job[5]
         rec.queue_wait_s = now - t_enq
         rec.compute_s = duration
         wr.busy_until[core] = now + duration
@@ -347,21 +393,21 @@ class _Run:
         self.schedule(now + duration, EXEC_DONE, job)
 
     def _on_exec_done(self, now: float, job: Job) -> None:
-        inv_id, fid, w, out_bytes, _ops = job
+        inv_id, fid, w, out_bytes, _ops, rec = job
         inv = self.invocations[inv_id]
-        app = self.apps[inv.app]
-        dag = app.dag
+        plan = self.plans[inv.app][fid]
         outputs = inv.outputs
         outputs[fid] = out_bytes
 
-        if fid == dag.sink:
-            d_out = self._hop(w, app.client, out_bytes, app.functions[fid], None, inv.stages[fid])
+        if plan.succs is None:
+            producer, consumer, carried = plan.delivery
+            d_out = self._hop(w, plan.client, out_bytes + producer + consumer, carried, rec)
             self.schedule(now + d_out, DELIVERED, (inv_id,))
         else:
             # A successor is ready once every predecessor has an output, which
             # happens exactly once: on its last predecessor's EXEC_DONE.
-            for q in dag.succs[fid]:
-                for p in dag.preds[q]:
+            for q, q_preds in plan.succs:
+                for p in q_preds:
                     if p not in outputs:
                         break
                 else:
@@ -383,13 +429,8 @@ class _Run:
     def execute(self) -> MetricsLog:
         self._inject_arrivals()
         injected = len(self.invocations)
-        handlers = {
-            ARRIVAL: self._on_arrival,
-            STAGE_READY: self._on_stage_ready,
-            EXEC_START: self._on_exec_start,
-            EXEC_DONE: self._on_exec_done,
-            DELIVERED: self._on_delivered,
-        }
+        # indexed by event kind
+        handlers = (self._on_arrival, self._on_stage_ready, self._on_exec_start, self._on_exec_done, self._on_delivered)
         heap = self.heap
         heappop = heapq.heappop  # bound per run, so a replaced ``heapq`` is seen
         now = 0.0

@@ -50,18 +50,11 @@ def percentile(values: Sequence[float], p: float) -> float:
     return ordered[rank - 1]
 
 
-def _fmt(x: float | int | str | None) -> str:
-    if x is None:
-        return ""
-    return repr(x) if isinstance(x, float) else str(x)
-
-
 def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+    writer.writerows(rows)  # floats as repr, None as an empty field
     return buf.getvalue()
 
 

@@ -118,12 +118,12 @@ def remote_state_access(
     host and remote_migrate pays a single transfer to the executor. Pure:
     the caller records a migration with ``StateRegistry.move``. Routes are
     static, so each priced access is memoized on ``rt`` per
-    ``(mode, host, exec_node, state_size)`` and the frozen result is shared.
+    ``(mode.value, host, exec_node, state_size)`` and the frozen result is shared.
     """
     size = f.state_size
     if host is None or host == exec_node or size == 0 or not mode.is_remote:
         return ZERO_ACCESS
-    return rt.memo((mode, host, exec_node, size), lambda: _price_access(mode, host, exec_node, size, rt))
+    return rt.memo((mode.value, host, exec_node, size), _price_access, mode, host, exec_node, size, rt)
 
 
 def _price_access(mode: StateMode, host: int, exec_node: int, size: float, rt: RouteTable) -> StateAccess:

@@ -24,6 +24,7 @@ ROLE_BROKER = "broker"
 ROLE_WORKER = "worker"
 ROLES = (ROLE_CLIENT, ROLE_BROKER, ROLE_WORKER)
 MAX_CORES = 4096  # the engine keeps one busy-until time per core
+_MISSING = object()  # RouteTable.memo's marker for a key not yet computed
 
 
 @dataclass(frozen=True)
@@ -106,13 +107,12 @@ class RouteTable:
         self._routes = routes
         self._memo: dict[tuple, object] = {}
 
-    def memo(self, key: tuple, build):
-        """``build()``, computed on the first call with ``key`` and reused after."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = build()
-            return value
+    def memo(self, key: tuple, build, *args):
+        """``build(*args)``, computed on the first call with ``key`` and reused after."""
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = build(*args)
+        return value
 
     def hop_classes(self, src: int, targets: tuple[int, ...]) -> tuple[tuple[Route, ...], tuple[int, ...]]:
         """Routes from ``src`` to ``targets`` grouped by equal ``hops``.
@@ -122,7 +122,7 @@ class RouteTable:
         hops have bit-identical delays for any size, so a caller prices
         each class once. Memoized per ``(src, targets)``.
         """
-        return self.memo(("hops", src, targets), lambda: self._group_by_hops(src, targets))
+        return self.memo(("hops", src, targets), self._group_by_hops, src, targets)
 
     def _group_by_hops(self, src: int, targets: tuple[int, ...]) -> tuple[tuple[Route, ...], tuple[int, ...]]:
         index: dict[tuple[tuple[float, float], ...], int] = {}

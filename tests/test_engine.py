@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from chainsim import engine, metrics
 from chainsim.config import load_json, scenario_from_raw
 from chainsim.dispatch import PolicyKind, _least_backlog, estimate_completion
-from chainsim.state import StateMode, StateRegistry
+from chainsim.state import StateMode, StateRegistry, remote_state_access, stage_transfer_sizes
 from chainsim.topology import NodeSpec
 from chainsim.workflow import critical_path_time
 
@@ -130,6 +130,68 @@ class TestConservationAndAccounting:
         log = run_one(raw)
         for u in log.utilization.values():
             assert 0.0 <= u <= 1.0 + 1e-9
+
+
+class TestPerStageBytes:
+    """Each stage's ``state_bytes`` and ``link_bytes``, recomputed from the logged workers alone."""
+
+    @staticmethod
+    def raw(name: str) -> dict:
+        if name == "diamond":
+            return load_json(CONFIGS / "diamond_dag.json")
+        # unequal state sizes of unequal magnitude, so a hop summed as
+        # data + consumer + producer rounds differently from the engine's order
+        raw = chain_scenario_raw(n_workers=3, chain_len=4, rate=20.0, horizon=6.0, seed=17)
+        for fn, size in zip(raw["workflows"][0]["functions"], (1234.5678, 0.1, 98765.4321, 3.3)):
+            fn["state_size"] = size
+        raw["workload"]["payload"] = {"kind": "exponential", "mean": 1000.0}
+        return raw
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("name", ["diamond", "chain"])
+    def test_bytes_equal_a_replay_of_the_workers(self, name, mode):
+        # Per stage, in the engine's order: the state legs, then the input
+        # hops in sorted-pred order, then the sink's delivery.
+        raw = self.raw(name)
+        raw["state_mode"] = mode
+        sc = build(raw)
+        state_mode = StateMode(mode)
+        rt = sc.routes
+        log = engine.run(sc)
+        stages = sorted(
+            (rec.dispatch_time, inv.inv_id, fid, inv, rec) for inv in log.invocations for fid, rec in inv.stages.items()
+        )
+        # the registry is replayed in dispatch order, which needs distinct times per state item
+        dispatches = [(inv.app, fid, t) for t, _, fid, inv, _ in stages]
+        assert len(set(dispatches)) == len(dispatches) > 100
+        hosts = {}
+        for _t, _id, fid, inv, rec in stages:
+            app = sc.apps[inv.app]
+            f = app.functions[fid]
+            stateful = state_mode.is_remote and f.state_size > 0
+            host = hosts.get((inv.app, fid)) if stateful else None
+            access = remote_state_access(state_mode, host, f, rec.worker, rt)
+            if stateful and (host is None or access.migration):
+                hosts[inv.app, fid] = rec.worker
+            state_bytes = access.bytes_moved
+            link_bytes = 0.0
+            for src, dst in access.legs:
+                for _link in rt.route(src, dst).links:
+                    link_bytes += f.state_size
+            preds = app.dag.preds[fid]
+            hops = [(inv.stages[p].worker, rec.worker, inv.outputs[p], app.functions[p], f) for p in preds]
+            if not preds:
+                hops.append((app.client, rec.worker, inv.payload, None, f))
+            if fid == app.dag.sink:
+                hops.append((rec.worker, app.client, inv.outputs[fid], f, None))
+            for src, dst, data, producer, consumer in hops:
+                nbytes, carried = stage_transfer_sizes(data, producer, consumer, state_mode)
+                for _link in rt.route(src, dst).links:
+                    link_bytes += nbytes
+                if src != dst:
+                    state_bytes += carried
+            assert rec.migration == access.migration
+            assert (rec.state_bytes.hex(), rec.link_bytes.hex()) == (state_bytes.hex(), link_bytes.hex())
 
 
 class TestQueueing:

@@ -1,11 +1,13 @@
+import csv
+import io
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainsim import metrics
-from chainsim.config import PayloadSpec
+from chainsim import engine, metrics
+from chainsim.config import PayloadSpec, scenario_from_raw
 from chainsim.workload import (
     STREAM_ARRIVALS,
     draw_compute_factors,
@@ -13,6 +15,7 @@ from chainsim.workload import (
     gen_arrivals,
     substream,
 )
+from helpers import chain_scenario_raw
 
 
 class TestGenArrivals:
@@ -118,3 +121,39 @@ class TestPercentile:
         got = metrics.percentile(values, p)
         ordered = sorted(values)
         assert got == ordered[math.ceil(p * len(values)) - 1]
+
+
+class TestCsvCells:
+    """The CSV writer formats every cell itself: a float by ``repr``, None as an empty field, anything else by ``str``."""
+
+    CELLS = [None, -0.0, math.inf, -math.inf, math.nan, 1e-320, 5e300, True, False, 0.1, 7, "app,with,commas", 'say "hi"']
+
+    @staticmethod
+    def reference(header, rows) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if x is None else repr(x) if isinstance(x, float) else str(x) for x in row])
+        return buf.getvalue()
+
+    def test_every_cell_kind_in_every_column(self):
+        width = len(metrics.INVOCATIONS_HEADER)
+        cells = self.CELLS
+        rows = [[cells[(i + k) % len(cells)] for k in range(width)] for i in range(len(cells))]
+        text = metrics.invocations_csv(rows)
+        assert text == self.reference(metrics.INVOCATIONS_HEADER, rows)
+        assert '"app,with,commas"' in text and ",-0.0," in text and ",1e-320," in text and ",," in text
+
+    def test_invocation_rows_of_a_run(self):
+        # a comma in the app id is quoted; an unfinished invocation leaves completion and latency empty
+        raw = chain_scenario_raw(state_mode="embedded", state_size=300.0)
+        raw["workflows"][0]["app_id"] = "edge,app"
+        raw["workload"]["rates"] = {"edge,app": 5.0}
+        sc, errs = scenario_from_raw(raw)
+        assert not errs, errs
+        log = engine.run(sc)
+        log.invocations[1].completion = None
+        rows = metrics.invocation_rows(log)
+        assert rows[1][3:5] == [None, None] and {row[1] for row in rows} == {"edge,app"}
+        assert metrics.invocations_csv(rows) == self.reference(metrics.INVOCATIONS_HEADER, rows)
