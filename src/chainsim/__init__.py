@@ -2,7 +2,7 @@
 chains and DAGs on edge networks."""
 
 from .config import PayloadSpec, Scenario, scenario_from_raw
-from .dispatch import DispatchContext, PolicyKind, RrState, choose_worker, estimate_completion
+from .dispatch import DispatchContext, PolicyKind, choose_worker, estimate_completion
 from .engine import EngineError, MetricsLog, run
 from .metrics import percentile
 from .state import (
@@ -42,7 +42,6 @@ __all__ = [
     "PayloadSpec",
     "PolicyKind",
     "RouteTable",
-    "RrState",
     "Scenario",
     "StateAccess",
     "StateMode",

@@ -1,8 +1,8 @@
 """Per-stage destination selection: completion-time estimator and policies.
 
-All policies are pure given (context, round-robin state, rng stream); the
-engine serializes calls within a run. Every tie breaks toward the lowest
-worker id so runs replay identically.
+All policies are pure given the context, its round-robin cursors and its
+rng stream; the engine serializes calls within a run. Every tie breaks
+toward the lowest worker id so runs replay identically.
 """
 
 from __future__ import annotations
@@ -50,9 +50,11 @@ class DispatchContext:
 
     The engine builds one context per run and mutates it between decisions
     (``app_id``, ``now``, ``state_host`` and ``payload_location``), so a
-    policy must not keep the context past the call. ``candidate_workers``
-    and ``loads`` are fixed once the context is built, and each candidate
-    must be a key of ``loads``; a runtime's ``node`` is its worker's spec.
+    policy must not keep the context past the call. ``policy``, ``mode``,
+    ``candidate_workers``, ``routes``, ``rng`` and ``loads`` are fixed once
+    the context is built, and each candidate must be a key of ``loads``; a
+    runtime's ``node`` is its worker's spec. ``cursors`` holds round robin's
+    next candidate index per ``(app_id, function id)``.
     """
 
     app_id: str
@@ -63,11 +65,17 @@ class DispatchContext:
     payload_location: int
     rng: np.random.Generator
     loads: Mapping[int, WorkerRuntime]
+    policy: PolicyKind
+    mode: StateMode
     # one row per candidate, in candidate order, derived once
     load_rows: tuple[LoadRow, ...] = field(init=False, repr=False, compare=False)
+    cursors: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not self.candidate_workers:
+            raise ValueError("empty candidate list")
         self.load_rows = tuple(_load_row(self, w) for w in self.candidate_workers)
+        self.cursors = {}
 
 
 def _load_row(ctx: DispatchContext, w: int) -> LoadRow:
@@ -76,26 +84,7 @@ def _load_row(ctx: DispatchContext, w: int) -> LoadRow:
     return (w, wr, spec.cores * spec.core_speed, spec.core_speed)
 
 
-@dataclass
-class RrState:
-    """Per-(app, function) cursor into the candidate list."""
-
-    cursors: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    def take(self, app_id: str, function_id: str, n_candidates: int) -> int:
-        key = (app_id, function_id)
-        cur = self.cursors.get(key, 0) % n_candidates
-        self.cursors[key] = (cur + 1) % n_candidates
-        return cur
-
-
-def estimate_completion(
-    ctx: DispatchContext,
-    f: FunctionSpec,
-    w: int,
-    input_bytes: float,
-    mode: StateMode,
-) -> float:
+def estimate_completion(ctx: DispatchContext, f: FunctionSpec, w: int, input_bytes: float) -> float:
     """Predicted completion time of this stage on worker ``w``.
 
     Input transfer (with embedded state overhead) + state access from
@@ -104,7 +93,7 @@ def estimate_completion(
     transfers toward ``w`` are not visible to the dispatcher and are ignored.
     Scored by ``min_latency_estimate``'s own pass, over the one worker.
     """
-    return _least_estimate(ctx, f, (w,), (_load_row(ctx, w),), input_bytes, mode)[0]
+    return _least_estimate(ctx, f, (w,), (_load_row(ctx, w),), input_bytes)[0]
 
 
 def _least_estimate(
@@ -113,7 +102,6 @@ def _least_estimate(
     targets: tuple[int, ...],
     rows: tuple[LoadRow, ...],
     input_bytes: float,
-    mode: StateMode,
 ) -> tuple[float, int]:
     """The least ``estimate_completion`` over ``targets`` and its worker, in one pass.
 
@@ -126,10 +114,10 @@ def _least_estimate(
     worker id, as ``min`` over ``(estimate, worker)`` pairs would pick.
     """
     compute_ops, _ = stage_io(f, input_bytes)
-    nbytes, _ = state_mod.stage_transfer_sizes(input_bytes, None, f, mode)
+    nbytes, _ = state_mod.stage_transfer_sizes(input_bytes, None, f, ctx.mode)
     classes, class_of = ctx.routes.hop_classes(ctx.payload_location, targets)
     class_xfer = [route.delay(nbytes) for route in classes]
-    state = state_mod.state_delays(mode, ctx.state_host, f, targets, ctx.routes)
+    state = state_mod.state_delays(ctx.mode, ctx.state_host, f, targets, ctx.routes)
     now = ctx.now
     best = best_w = None
     for (w, wr, capacity, speed), c, state_delay in zip(rows, class_of, state):
@@ -156,24 +144,19 @@ def _least_backlog(now: float, rows: tuple[LoadRow, ...]) -> tuple[float, int]:
     return best, best_w
 
 
-def choose_worker(
-    policy: PolicyKind,
-    ctx: DispatchContext,
-    rr: RrState,
-    f: FunctionSpec,
-    input_bytes: float,
-    mode: StateMode,
-) -> int:
-    """Select the execution worker for one stage. Ties go to the lowest id."""
+def choose_worker(ctx: DispatchContext, f: FunctionSpec, input_bytes: float) -> int:
+    """Select the execution worker for one stage by ``ctx.policy``. Ties go to the lowest id."""
+    policy = ctx.policy
     candidates = ctx.candidate_workers
-    if not candidates:
-        raise ValueError("empty candidate list")
 
     if policy is PolicyKind.RANDOM:
         return candidates[int(ctx.rng.integers(0, len(candidates)))]
 
     if policy is PolicyKind.ROUND_ROBIN:
-        return candidates[rr.take(ctx.app_id, f.id, len(candidates))]
+        key = (ctx.app_id, f.id)
+        cur = ctx.cursors.get(key, 0)
+        ctx.cursors[key] = (cur + 1) % len(candidates)
+        return candidates[cur]
 
     if policy is PolicyKind.LEAST_LOADED:
         return _least_backlog(ctx.now, ctx.load_rows)[1]
@@ -184,6 +167,6 @@ def choose_worker(
         return _least_backlog(ctx.now, ctx.load_rows)[1]
 
     if policy is PolicyKind.MIN_LATENCY_ESTIMATE:
-        return _least_estimate(ctx, f, candidates, ctx.load_rows, input_bytes, mode)[1]
+        return _least_estimate(ctx, f, candidates, ctx.load_rows, input_bytes)[1]
 
     raise ValueError(f"unknown policy {policy}")

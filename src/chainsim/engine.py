@@ -23,8 +23,8 @@ from typing import NamedTuple
 from . import state as state_mod
 from . import workload as wl
 from .config import Scenario
-from .dispatch import DispatchContext, RrState, choose_worker
-from .state import StateRegistry, remote_state_access, stage_transfer_sizes
+from .dispatch import DispatchContext, choose_worker
+from .state import StateMode, StateRegistry, remote_state_access, stage_transfer_sizes
 from .topology import NodeSpec
 from .workflow import FunctionSpec, stage_io, vertex_input_bytes
 
@@ -124,7 +124,7 @@ def _plans(scenario: Scenario) -> dict[str, dict[str, _StagePlan]]:
                 f=f,
                 preds=dag.preds[fid],
                 succs=tuple((q, dag.preds[q]) for q in dag.succs[fid]) if fid != dag.sink else None,
-                stateful=mode.is_remote and f.state_size > 0,
+                stateful=mode is not StateMode.EMBEDDED and f.state_size > 0,
                 client=app.client,
                 inputs=tuple((p, *hop(fns[p], f)) for p in dag.preds[fid]) or ((None, *hop(None, f)),),
                 delivery=hop(f, None) if fid == dag.sink else None,
@@ -209,15 +209,13 @@ class _Run:
         self.seed = seed
         self.apps = scenario.apps
         self.routes = scenario.routes
-        self.mode = scenario.state_mode
-        self.policy = scenario.policy
         self.plans = _plans(scenario)
         self.workers = {n.id: WorkerRuntime(n) for n in scenario.topology.workers()}
         self.registry = StateRegistry()
-        self.rr = RrState()
-        # One context serves every decision of the run: each dispatch sets the
-        # app, time, state host and payload node; policies read worker load
-        # from the live runtimes.
+        # One context serves every decision of the run and holds its policy,
+        # state mode and round-robin cursors: each dispatch sets the app,
+        # time, state host and payload node; policies read worker load from
+        # the live runtimes.
         self.ctx = DispatchContext(
             app_id="",
             candidate_workers=scenario.candidates,
@@ -227,6 +225,8 @@ class _Run:
             payload_location=-1,
             rng=wl.substream(seed, wl.STREAM_POLICY),
             loads=self.workers,
+            policy=scenario.policy,
+            mode=scenario.state_mode,
         )
         self.heap: list[tuple[float, int, int, tuple]] = []  # (time, seq, kind, data)
         self.seq = count()  # restarted after the arrivals, which take seq 0..n-1
@@ -331,12 +331,12 @@ class _Run:
         ctx.now = now
         ctx.state_host = host
         ctx.payload_location = at_node
-        w = choose_worker(self.policy, ctx, self.rr, f, input_bytes, self.mode)
+        w = choose_worker(ctx, f, input_bytes)
 
         access = state_mod.ZERO_ACCESS
         charged = 0.0
         if host is not None:
-            access = remote_state_access(self.mode, host, f, w, self.routes)
+            access = remote_state_access(ctx.mode, host, f, w, self.routes)
             size = f.state_size
             link_bytes = self.link_bytes
             for src, dst in access.legs:

@@ -30,10 +30,6 @@ class StateMode(enum.Enum):
     REMOTE_FIXED = "remote_fixed"
     REMOTE_MIGRATE = "remote_migrate"
 
-    @property
-    def is_remote(self) -> bool:
-        return self is not StateMode.EMBEDDED
-
 
 @dataclass
 class StateRegistry:
@@ -118,12 +114,12 @@ def remote_state_access(
     host and remote_migrate pays a single transfer to the executor. Pure:
     the caller records a migration with ``StateRegistry.move``. Routes are
     static, so each priced access is memoized on ``rt`` per
-    ``(mode.value, host, exec_node, state_size)`` and the frozen result is shared.
+    ``(mode, host, exec_node, state_size)`` and the frozen result is shared.
     """
     size = f.state_size
-    if host is None or host == exec_node or size == 0 or not mode.is_remote:
+    if host is None or host == exec_node or size == 0 or mode is StateMode.EMBEDDED:
         return ZERO_ACCESS
-    return rt.memo((mode.value, host, exec_node, size), _price_access, mode, host, exec_node, size, rt)
+    return rt.memo((mode, host, exec_node, size), _price_access, mode, host, exec_node, size, rt)
 
 
 def _price_access(mode: StateMode, host: int, exec_node: int, size: float, rt: RouteTable) -> StateAccess:
@@ -156,12 +152,14 @@ def state_delays(
     once, at its first target. The vector is memoized on ``rt`` per
     ``(host, targets, state_size, mode)``.
     """
+    return rt.memo(("state", host, targets, f.state_size, mode), _price_delays, mode, host, f, targets, rt)
 
-    def build() -> tuple[float, ...]:
-        if host is None:
-            return (0.0,) * len(targets)
-        classes, class_of = rt.hop_classes(host, targets)
-        priced = [remote_state_access(mode, host, f, route.path[-1], rt).delay for route in classes]
-        return tuple(priced[c] for c in class_of)
 
-    return rt.memo(("state", host, targets, f.state_size, mode), build)
+def _price_delays(
+    mode: StateMode, host: int | None, f: "FunctionSpec", targets: tuple[int, ...], rt: RouteTable
+) -> tuple[float, ...]:
+    if host is None:
+        return (0.0,) * len(targets)
+    classes, class_of = rt.hop_classes(host, targets)
+    priced = [remote_state_access(mode, host, f, route.path[-1], rt).delay for route in classes]
+    return tuple(priced[c] for c in class_of)

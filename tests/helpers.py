@@ -226,7 +226,7 @@ def loaded_runtimes(workers, backlog) -> dict:
     return loads
 
 
-def reference_estimate(ctx, f, w, input_bytes, mode) -> float:
+def reference_estimate(ctx, f, w, input_bytes) -> float:
     """``min_latency_estimate``'s score of worker ``w``, term by term from first principles.
 
     One ``transfer_delay`` and one ``remote_state_access`` per worker, with
@@ -237,6 +237,7 @@ def reference_estimate(ctx, f, w, input_bytes, mode) -> float:
     from chainsim.workflow import stage_io
 
     spec = ctx.loads[w].node
+    mode = ctx.mode
     wire, _state = stage_transfer_sizes(input_bytes, None, f, mode)
     est = transfer_delay(ctx.routes, ctx.payload_location, w, wire)
     est += remote_state_access(mode, ctx.state_host, f, w, ctx.routes).delay
@@ -246,9 +247,9 @@ def reference_estimate(ctx, f, w, input_bytes, mode) -> float:
     return est
 
 
-def reference_choice(ctx, f, input_bytes, mode) -> int:
+def reference_choice(ctx, f, input_bytes) -> int:
     """The candidate with the least reference estimate; ties go to the lowest id."""
-    return min((reference_estimate(ctx, f, w, input_bytes, mode), w) for w in ctx.candidate_workers)[1]
+    return min((reference_estimate(ctx, f, w, input_bytes), w) for w in ctx.candidate_workers)[1]
 
 
 # -- outputs ------------------------------------------------------------------

@@ -20,7 +20,6 @@ from chainsim.config import load_json, scenario_from_raw, sweep_from_raw
 from chainsim.dispatch import (
     DispatchContext,
     PolicyKind,
-    RrState,
     choose_worker,
     estimate_completion,
 )
@@ -292,11 +291,12 @@ def test_criterion_08_policy_oracle():
             payload_location=0,
             rng=np.random.default_rng(k),
             loads=loaded_runtimes(workers, backlog),
+            policy=PolicyKind.MIN_LATENCY_ESTIMATE,
+            mode=StateMode(rng.choice(ALL_MODES)),
         )
-        mode = StateMode(rng.choice(ALL_MODES))
         input_bytes = rng.choice([0.0, 1000.0, 50_000.0])
-        got = choose_worker(PolicyKind.MIN_LATENCY_ESTIMATE, ctx, RrState(), f, input_bytes, mode)
-        estimates = {w: estimate_completion(ctx, f, w, input_bytes, mode) for w in candidates}
+        got = choose_worker(ctx, f, input_bytes)
+        estimates = {w: estimate_completion(ctx, f, w, input_bytes) for w in candidates}
         best = min(estimates.values())
         expected = min(w for w, e in estimates.items() if e == best)
         assert got == expected, f"context #{k}"
@@ -326,12 +326,14 @@ def test_criterion_09_statistical_sanity():
         payload_location=0,
         rng=np.random.default_rng(909),
         loads=loaded_runtimes(workers, {}),
+        policy=PolicyKind.RANDOM,
+        mode=StateMode.EMBEDDED,
     )
     f = FunctionSpec("f", fixed_ops=1.0)
     draws = 10_000
     counts = {w: 0 for w in ctx.candidate_workers}
     for _ in range(draws):
-        counts[choose_worker(PolicyKind.RANDOM, ctx, RrState(), f, 0.0, StateMode.EMBEDDED)] += 1
+        counts[choose_worker(ctx, f, 0.0)] += 1
     p = 1.0 / n_candidates
     sigma = (draws * p * (1 - p)) ** 0.5
     for w, c in counts.items():
@@ -351,13 +353,11 @@ def test_criterion_09_statistical_sanity():
             payload_location=0,
             rng=np.random.default_rng(0),
             loads=loaded_runtimes(sub_workers, {}),
+            policy=PolicyKind.ROUND_ROBIN,
+            mode=StateMode.EMBEDDED,
         )
-        rr = RrState()
         for cycle in range(3):
-            seen = [
-                choose_worker(PolicyKind.ROUND_ROBIN, ctx_n, rr, f, 0.0, StateMode.EMBEDDED)
-                for _ in range(n)
-            ]
+            seen = [choose_worker(ctx_n, f, 0.0) for _ in range(n)]
             assert sorted(seen) == list(sub), (n, cycle, seen)
 
     # Poisson inter-arrival mean within 2% with >= 100k samples

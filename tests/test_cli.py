@@ -58,6 +58,13 @@ class TestValidate:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["validate", str(bad)]) == 1
 
+    def test_top_level_array_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]", encoding="utf-8")
+        assert main(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot load {bad}: {bad}: top-level JSON value must be an object\n"
+
     def test_deeply_nested_json_exit_one(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
@@ -167,6 +174,16 @@ def sweep_doc():
     return {"base": chain_scenario_raw(), "field": "policy", "values": ["random"]}
 
 
+def first_function(raw):
+    return workflow(raw)["functions"][0]
+
+
+def add_node(raw, node):
+    """Append ``node`` to the topology, linked to worker 1 so the graph stays connected."""
+    raw["topology"]["nodes"].append(node)
+    raw["topology"]["links"].append({"endpoint_a": node["id"], "endpoint_b": 1, "propagation": 0.001, "rate": 1e7})
+
+
 # Each message the config and sweep readers can give: the document, its edit
 # and every error line it prints.
 CONFIG_MESSAGES = {
@@ -209,6 +226,41 @@ CONFIG_MESSAGES = {
         chain_scenario_raw,
         lambda raw: as_dag(raw).update(edges=[["f0", "f1", "f0"]]),
         ["workflow app: dag edges must be [producer, consumer] pairs"],
+    ),
+    "negative fixed_ops": (
+        chain_scenario_raw,
+        lambda raw: first_function(raw).update(fixed_ops=-0.25),  # ops_per_byte 0.5 keeps the sum positive
+        ["workflow app: function f0 fixed_ops must be >= 0"],
+    ),
+    "negative ops_per_byte": (
+        chain_scenario_raw,
+        lambda raw: first_function(raw).update(ops_per_byte=-0.5),
+        ["workflow app: function f0 ops_per_byte must be >= 0"],
+    ),
+    "function without work": (
+        chain_scenario_raw,
+        lambda raw: first_function(raw).update(fixed_ops=0.0, ops_per_byte=0.0),
+        ["workflow app: function f0 must perform work (fixed_ops + ops_per_byte > 0)"],
+    ),
+    "negative output_ratio": (
+        chain_scenario_raw,
+        lambda raw: first_function(raw).update(output_ratio=-1.0),
+        ["workflow app: function f0 output_ratio must be >= 0"],
+    ),
+    "negative state_size": (
+        chain_scenario_raw,
+        lambda raw: first_function(raw).update(state_size=-1.0),
+        ["workflow app: function f0 state_size must be >= 0"],
+    ),
+    "negative node id": (
+        chain_scenario_raw,
+        lambda raw: add_node(raw, {"id": -3, "role": "client"}),
+        ["node id -3 must be non-negative"],
+    ),
+    "unknown node role": (
+        chain_scenario_raw,
+        lambda raw: add_node(raw, {"id": 3, "role": "gateway"}),
+        ["node 3 has unknown role 'gateway'"],
     ),
     "uniform payload lo > hi": (
         chain_scenario_raw,
@@ -281,6 +333,17 @@ def test_duplicate_candidates_are_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: candidates must be distinct worker ids\n"
 
 
+def test_workflow_without_client_gets_the_lowest_id_client():
+    raw = chain_scenario_raw()
+    add_node(raw, {"id": 5, "role": "client"})
+    nodes = raw["topology"]["nodes"]
+    nodes.insert(0, nodes.pop())  # client 5 is listed before client 0
+    del workflow(raw)["client"]
+    sc, errs = scenario_from_raw(raw)
+    assert errs == []
+    assert sc.apps["app"].client == 0
+
+
 class TestRun:
     def test_writes_expected_files(self, tmp_path):
         cfg = write_config(tmp_path, chain_scenario_raw(rate=20.0, horizon=2.0, replications=2))
@@ -335,6 +398,44 @@ class TestRun:
         assert err == "runtime error: non-finite total_state_bytes at point 0, replication 0\n"
         written = [path.read_text(encoding="utf-8") for path in out.rglob("*") if path.is_file()]
         assert not any("inf" in text or "Infinity" in text for text in written)
+
+    @pytest.mark.parametrize(
+        "fixed_ops, edit, message",
+        [
+            (1e308, lambda raw: raw["workload"].update(compute_randomization=True),
+             "non-finite compute demand for f1"),
+            (1e10, lambda raw: raw["topology"]["nodes"][1].update(core_speed=1e-300),
+             "non-finite service time on worker 1"),
+        ],
+    )
+    def test_non_finite_stage_exit_two(self, fixed_ops, edit, message, tmp_path, capsys):
+        raw = load_json(CONFIGS / "baseline_single_worker.json")
+        raw["workflows"][0]["functions"][0]["fixed_ops"] = fixed_ops
+        raw["workload"]["horizon"] = 20
+        edit(raw)
+        cfg = write_config(tmp_path, raw)
+        assert main(["validate", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"runtime error: {message}\n"
+        assert not out.exists()
+
+    def test_nothing_completes_exit_zero(self, tmp_path):
+        # no arrival falls in [0, 1e-9): every latency statistic is null and every plot cell empty
+        cfg = write_config(tmp_path, chain_scenario_raw(horizon=1e-9))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--emit-plotdata"]) == 0
+        (record,) = json.loads((out / "summary.json").read_text())["records"]
+        assert (record["injected"], record["completed"], record["throughput_per_s"]) == (0, 0, 0.0)
+        for key in ("mean_latency_s", "p50_latency_s", "p95_latency_s", "p99_latency_s"):
+            assert record[key] is None
+        assert (out / "plotdata.csv").read_text().splitlines() == [
+            "point,swept_value,seed,mean_latency_s,p50_latency_s,p95_latency_s,p99_latency_s",
+            "0,,1,,,,",
+        ]
+        assert (out / "rep_000" / "invocations.csv").read_text().splitlines() == [
+            "inv_id,app,arrival_s,completion_s,latency_s,stages,state_bytes,migrations",
+        ]
 
     def test_bad_config_exit_one(self, tmp_path):
         raw = chain_scenario_raw()

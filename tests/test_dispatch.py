@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from chainsim.dispatch import (
     DispatchContext,
     PolicyKind,
-    RrState,
     _least_backlog,
     _least_estimate,
     choose_worker,
@@ -41,6 +40,8 @@ def make_ctx(
     registry=None,
     seed=0,
     candidates=None,
+    policy=PolicyKind.MIN_LATENCY_ESTIMATE,
+    mode=StateMode.EMBEDDED,
 ):
     workers = {n.id: n for n in t.workers()}
     cands = tuple(sorted(workers)) if candidates is None else tuple(candidates)
@@ -53,32 +54,34 @@ def make_ctx(
         payload_location=payload_location,
         rng=np.random.default_rng(seed),
         loads=loaded_runtimes(workers, backlog or {}),
+        policy=policy,
+        mode=mode,
     )
 
 
 class TestEstimateCompletion:
     def test_idle_colocated_is_compute_only(self):
         t, rt = star_network(1)
-        ctx = make_ctx(t, rt, payload_location=1)
+        ctx = make_ctx(t, rt, payload_location=1, mode=StateMode.REMOTE_FIXED)
         f = FunctionSpec("f", fixed_ops=1000.0)
-        assert estimate_completion(ctx, f, 1, 0.0, StateMode.REMOTE_FIXED) == pytest.approx(
+        assert estimate_completion(ctx, f, 1, 0.0) == pytest.approx(
             0.001, abs=1e-15
         )
 
     def test_backlog_adds_drain_time(self):
         t, rt = star_network(1)
-        ctx = make_ctx(t, rt, payload_location=1, backlog={1: 1000.0})
+        ctx = make_ctx(t, rt, payload_location=1, backlog={1: 1000.0}, mode=StateMode.REMOTE_FIXED)
         f = FunctionSpec("f", fixed_ops=1000.0)
-        assert estimate_completion(ctx, f, 1, 0.0, StateMode.REMOTE_FIXED) == pytest.approx(
+        assert estimate_completion(ctx, f, 1, 0.0) == pytest.approx(
             0.002, abs=1e-15
         )
 
     def test_input_transfer_term(self):
         # one hop (1 ms, 1e6 B/s) with 1000 B: 0.002 transfer + 0.001 backlog + 0.001 compute
         t, rt = star_network(1)
-        ctx = make_ctx(t, rt, payload_location=0, backlog={1: 1000.0})
+        ctx = make_ctx(t, rt, payload_location=0, backlog={1: 1000.0}, mode=StateMode.REMOTE_FIXED)
         f = FunctionSpec("f", fixed_ops=1000.0)
-        assert estimate_completion(ctx, f, 1, 1000.0, StateMode.REMOTE_FIXED) == pytest.approx(
+        assert estimate_completion(ctx, f, 1, 1000.0) == pytest.approx(
             0.004, abs=1e-15
         )
 
@@ -86,18 +89,18 @@ class TestEstimateCompletion:
         t, rt = star_network(2)
         reg = StateRegistry()
         reg.seed("app", "f", host=1)
-        ctx = make_ctx(t, rt, payload_location=1, registry=reg)
+        ctx = make_ctx(t, rt, payload_location=1, registry=reg, mode=StateMode.REMOTE_MIGRATE)
         f = FunctionSpec("f", fixed_ops=1000.0, state_size=500.0)
-        at_host = estimate_completion(ctx, f, 1, 0.0, StateMode.REMOTE_MIGRATE)
-        away = estimate_completion(ctx, f, 2, 0.0, StateMode.REMOTE_MIGRATE)
+        at_host = estimate_completion(ctx, f, 1, 0.0)
+        away = estimate_completion(ctx, f, 2, 0.0)
         assert away > at_host
         assert reg.get("app", "f") == 1  # prediction, not commitment
 
     def test_cores_divide_backlog(self):
         t, rt = star_network(1, cores=4)
-        ctx = make_ctx(t, rt, payload_location=1, backlog={1: 4000.0})
+        ctx = make_ctx(t, rt, payload_location=1, backlog={1: 4000.0}, mode=StateMode.REMOTE_FIXED)
         f = FunctionSpec("f", fixed_ops=1000.0)
-        assert estimate_completion(ctx, f, 1, 0.0, StateMode.REMOTE_FIXED) == pytest.approx(
+        assert estimate_completion(ctx, f, 1, 0.0) == pytest.approx(
             0.002, abs=1e-15
         )
 
@@ -107,56 +110,52 @@ class TestChooseWorker:
         t, rt = star_network(1)
         f = FunctionSpec("f", fixed_ops=1000.0)
         for policy in PolicyKind:
-            ctx = make_ctx(t, rt)
-            assert choose_worker(policy, ctx, RrState(), f, 100.0, StateMode.EMBEDDED) == 1
+            ctx = make_ctx(t, rt, policy=policy)
+            assert choose_worker(ctx, f, 100.0) == 1
 
     def test_empty_candidates_rejected(self):
         t, rt = star_network(2)
-        ctx = make_ctx(t, rt, candidates=())
-        with pytest.raises(ValueError):
-            choose_worker(PolicyKind.RANDOM, ctx, RrState(), FunctionSpec("f", 1.0), 0.0, StateMode.EMBEDDED)
+        with pytest.raises(ValueError, match="empty candidate list"):
+            make_ctx(t, rt, candidates=(), policy=PolicyKind.RANDOM)
 
     def test_least_loaded_breaks_ties_by_id(self):
         t, rt = star_network(3)
         for candidates in ((1, 2, 3), (3, 2, 1)):
-            ctx = make_ctx(t, rt, backlog={1: 5.0, 2: 5.0, 3: 9.0}, candidates=candidates)
+            ctx = make_ctx(t, rt, backlog={1: 5.0, 2: 5.0, 3: 9.0}, candidates=candidates,
+                           policy=PolicyKind.LEAST_LOADED)
             f = FunctionSpec("f", 1.0)
-            assert choose_worker(PolicyKind.LEAST_LOADED, ctx, RrState(), f, 0.0, StateMode.EMBEDDED) == 1
+            assert choose_worker(ctx, f, 0.0) == 1
 
     def test_round_robin_cycles_per_function(self):
         t, rt = star_network(3)
-        ctx = make_ctx(t, rt)
-        rr = RrState()
+        ctx = make_ctx(t, rt, policy=PolicyKind.ROUND_ROBIN)
         f, g = FunctionSpec("f", 1.0), FunctionSpec("g", 1.0)
-        seq_f = [choose_worker(PolicyKind.ROUND_ROBIN, ctx, rr, f, 0.0, StateMode.EMBEDDED) for _ in range(6)]
+        seq_f = [choose_worker(ctx, f, 0.0) for _ in range(6)]
         assert seq_f == [1, 2, 3, 1, 2, 3]
         # a different function has its own cursor
-        assert choose_worker(PolicyKind.ROUND_ROBIN, ctx, rr, g, 0.0, StateMode.EMBEDDED) == 1
+        assert choose_worker(ctx, g, 0.0) == 1
 
     def test_state_local_prefers_host_else_least_loaded(self):
         t, rt = star_network(3)
         reg = StateRegistry()
         reg.seed("app", "f", host=3)
-        ctx = make_ctx(t, rt, registry=reg, backlog={1: 0.0, 2: 0.0, 3: 100.0})
+        local = {"policy": PolicyKind.STATE_LOCAL, "mode": StateMode.REMOTE_FIXED}
+        ctx = make_ctx(t, rt, registry=reg, backlog={1: 0.0, 2: 0.0, 3: 100.0}, **local)
         f = FunctionSpec("f", fixed_ops=1.0, state_size=10.0)
-        assert choose_worker(PolicyKind.STATE_LOCAL, ctx, RrState(), f, 0.0, StateMode.REMOTE_FIXED) == 3
+        assert choose_worker(ctx, f, 0.0) == 3
         # host not among candidates: falls back to least loaded
-        ctx2 = make_ctx(t, rt, registry=reg, backlog={1: 7.0, 2: 3.0}, candidates=(1, 2))
-        assert choose_worker(PolicyKind.STATE_LOCAL, ctx2, RrState(), f, 0.0, StateMode.REMOTE_FIXED) == 2
+        ctx2 = make_ctx(t, rt, registry=reg, backlog={1: 7.0, 2: 3.0}, candidates=(1, 2), **local)
+        assert choose_worker(ctx2, f, 0.0) == 2
         # no entry at all: least loaded
-        ctx3 = make_ctx(t, rt, backlog={1: 7.0, 2: 3.0, 3: 5.0})
+        ctx3 = make_ctx(t, rt, backlog={1: 7.0, 2: 3.0, 3: 5.0}, **local)
         g = FunctionSpec("g", fixed_ops=1.0, state_size=10.0)
-        assert choose_worker(PolicyKind.STATE_LOCAL, ctx3, RrState(), g, 0.0, StateMode.REMOTE_FIXED) == 2
+        assert choose_worker(ctx3, g, 0.0) == 2
 
     def test_random_is_deterministic_per_seed(self):
         t, rt = star_network(4)
         f = FunctionSpec("f", 1.0)
-        seq1 = [
-            choose_worker(PolicyKind.RANDOM, make_ctx(t, rt, seed=7), RrState(), f, 0.0, StateMode.EMBEDDED)
-        ]
-        seq2 = [
-            choose_worker(PolicyKind.RANDOM, make_ctx(t, rt, seed=7), RrState(), f, 0.0, StateMode.EMBEDDED)
-        ]
+        seq1 = [choose_worker(make_ctx(t, rt, seed=7, policy=PolicyKind.RANDOM), f, 0.0)]
+        seq2 = [choose_worker(make_ctx(t, rt, seed=7, policy=PolicyKind.RANDOM), f, 0.0)]
         assert seq1 == seq2
 
     def test_min_latency_matches_brute_force(self):
@@ -168,12 +167,12 @@ class TestChooseWorker:
             reg = StateRegistry()
             reg.seed("app", "f", host=rng.randint(1, n))
             backlog = {w: rng.choice([0.0, 500.0, 500.0, 2000.0]) for w in range(1, n + 1)}
-            ctx = make_ctx(t, rt, backlog=backlog, registry=reg)
             mode = rng.choice(list(StateMode))
-            got = choose_worker(PolicyKind.MIN_LATENCY_ESTIMATE, ctx, RrState(), f, 1000.0, mode)
+            ctx = make_ctx(t, rt, backlog=backlog, registry=reg, mode=mode)
+            got = choose_worker(ctx, f, 1000.0)
             expected = min(
                 ctx.candidate_workers,
-                key=lambda w: (estimate_completion(ctx, f, w, 1000.0, mode), w),
+                key=lambda w: (estimate_completion(ctx, f, w, 1000.0), w),
             )
             assert got == expected
 
@@ -183,7 +182,7 @@ class TestChooseWorker:
         f = FunctionSpec("f", fixed_ops=1000.0)
         for candidates in ((1, 2, 3, 4), (4, 3, 2, 1)):
             ctx = make_ctx(t, rt, candidates=candidates)
-            assert choose_worker(PolicyKind.MIN_LATENCY_ESTIMATE, ctx, RrState(), f, 100.0, StateMode.EMBEDDED) == 1
+            assert choose_worker(ctx, f, 100.0) == 1
 
 
 class TestOnePassChoice:
@@ -231,23 +230,23 @@ class TestPolicyProperties:
         f = FunctionSpec("f", fixed_ops=3000.0, ops_per_byte=1.0)
         t1, rt1 = build(1.0)
         ctx1 = make_ctx(t1, rt1)
-        estimates = [estimate_completion(ctx1, f, w, 500.0, StateMode.EMBEDDED) for w in ctx1.candidate_workers]
+        estimates = [estimate_completion(ctx1, f, w, 500.0) for w in ctx1.candidate_workers]
         if len(set(estimates)) < len(estimates):
             return  # tie-free instances only
         t2, rt2 = build(scale)
         ctx2 = make_ctx(t2, rt2)
-        pick1 = choose_worker(PolicyKind.MIN_LATENCY_ESTIMATE, ctx1, RrState(), f, 500.0, StateMode.EMBEDDED)
-        pick2 = choose_worker(PolicyKind.MIN_LATENCY_ESTIMATE, ctx2, RrState(), f, 500.0, StateMode.EMBEDDED)
+        pick1 = choose_worker(ctx1, f, 500.0)
+        pick2 = choose_worker(ctx2, f, 500.0)
         assert pick1 == pick2
 
     def test_random_uniform_within_3_sigma(self):
         t, rt = star_network(4)
-        ctx = make_ctx(t, rt, seed=123)
+        ctx = make_ctx(t, rt, seed=123, policy=PolicyKind.RANDOM)
         f = FunctionSpec("f", 1.0)
         n = 10_000
         counts = {w: 0 for w in ctx.candidate_workers}
         for _ in range(n):
-            counts[choose_worker(PolicyKind.RANDOM, ctx, RrState(), f, 0.0, StateMode.EMBEDDED)] += 1
+            counts[choose_worker(ctx, f, 0.0)] += 1
         p = 1 / len(counts)
         sigma = (n * p * (1 - p)) ** 0.5
         for w, c in counts.items():
@@ -309,18 +308,16 @@ class TestScoresMatchReference:
                     else:
                         backlog = {w: rng.choice([0.0, 500.0, 2000.0]) for w in candidates if rng.random() < 0.8}
                     ctx = make_ctx(t, rt, backlog=backlog, payload_location=src, registry=reg,
-                                   candidates=candidates)
+                                   candidates=candidates, mode=mode)
                     input_bytes = rng.choice([0.0, 1000.0, 12345.6])
-                    reference = [reference_estimate(ctx, f, w, input_bytes, mode) for w in candidates]
+                    reference = [reference_estimate(ctx, f, w, input_bytes) for w in candidates]
                     expected = [x.hex() for x in reference]
-                    best, best_w = _least_estimate(ctx, f, tuple(candidates), ctx.load_rows, input_bytes, mode)
+                    best, best_w = _least_estimate(ctx, f, tuple(candidates), ctx.load_rows, input_bytes)
                     ref_best, ref_w = min(zip(reference, candidates))
                     assert (best.hex(), best_w) == (ref_best.hex(), ref_w)
-                    assert [
-                        estimate_completion(ctx, f, w, input_bytes, mode).hex() for w in candidates
-                    ] == expected
-                    got = choose_worker(PolicyKind.MIN_LATENCY_ESTIMATE, ctx, RrState(), f, input_bytes, mode)
-                    assert got == reference_choice(ctx, f, input_bytes, mode)
+                    assert [estimate_completion(ctx, f, w, input_bytes).hex() for w in candidates] == expected
+                    got = choose_worker(ctx, f, input_bytes)
+                    assert got == reference_choice(ctx, f, input_bytes)
                     if tie:
                         assert len(set(expected)) == 1
                         assert got == min(candidates)

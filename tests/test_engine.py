@@ -168,7 +168,7 @@ class TestPerStageBytes:
         for _t, _id, fid, inv, rec in stages:
             app = sc.apps[inv.app]
             f = app.functions[fid]
-            stateful = state_mode.is_remote and f.state_size > 0
+            stateful = state_mode is not StateMode.EMBEDDED and f.state_size > 0
             host = hosts.get((inv.app, fid)) if stateful else None
             access = remote_state_access(state_mode, host, f, rec.worker, rt)
             if stateful and (host is None or access.migration):
@@ -473,10 +473,11 @@ class TestWorkerRuntime:
         def least_rescanned(ctx):
             return least([(rescan_backlog(ctx.loads[w], ctx.now), w) for w in ctx.candidate_workers])
 
-        def spy(policy_kind, ctx, rr, f, input_bytes, mode):
+        def spy(ctx, f, input_bytes):
             run, now, (inv_id, fid, at_node) = ready[-1]
             inv = run.invocations[inv_id]
             preds = run.apps[inv.app].dag.preds[fid]
+            assert ctx.policy is kind and ctx.mode is run.sc.state_mode
             assert f.id == fid and ctx.app_id == inv.app and ctx.now == now
             origin = inv.stages[preds[0]].worker if preds else run.apps[inv.app].client
             assert ctx.payload_location == at_node == origin
@@ -485,17 +486,17 @@ class TestWorkerRuntime:
             for row in ctx.load_rows:
                 backlog = _least_backlog(now, (row,))[0].hex()
                 assert backlog == row[1].backlog_ops(now).hex() == rescan_backlog(row[1], now).hex()
-            w = choose_worker(policy_kind, ctx, rr, f, input_bytes, mode)
+            w = choose_worker(ctx, f, input_bytes)
             if kind is PolicyKind.LEAST_LOADED:
                 assert w == least_rescanned(ctx)
             elif kind is PolicyKind.STATE_LOCAL:
                 host = ctx.state_host
                 assert w == (host if host in ctx.candidate_workers else least_rescanned(ctx))
             elif kind is PolicyKind.MIN_LATENCY_ESTIMATE:
-                scores = [(reference_estimate(ctx, f, c, input_bytes, mode), c) for c in ctx.candidate_workers]
-                assert w == least(scores) == reference_choice(ctx, f, input_bytes, mode)
+                scores = [(reference_estimate(ctx, f, c, input_bytes), c) for c in ctx.candidate_workers]
+                assert w == least(scores) == reference_choice(ctx, f, input_bytes)
                 for est, c in scores:
-                    assert estimate_completion(ctx, f, c, input_bytes, mode).hex() == est.hex()
+                    assert estimate_completion(ctx, f, c, input_bytes).hex() == est.hex()
             return w
 
         monkeypatch.setattr(engine._Run, "_on_stage_ready", record_ready)
@@ -521,9 +522,9 @@ class TestMinLatencyAgainstReference:
         raw["state_mode"] = mode
         sc = build(raw)
 
-        def reference_chooser(policy, ctx, rr, f, input_bytes, state_mode):
-            assert policy is PolicyKind.MIN_LATENCY_ESTIMATE
-            return reference_choice(ctx, f, input_bytes, state_mode)
+        def reference_chooser(ctx, f, input_bytes):
+            assert ctx.policy is PolicyKind.MIN_LATENCY_ESTIMATE
+            return reference_choice(ctx, f, input_bytes)
 
         with monkeypatch.context() as m:
             m.setattr(engine, "choose_worker", reference_chooser)

@@ -190,7 +190,7 @@ def random_mesh(rng: random.Random):
 def reference_access(mode, host, f, exec_node, rt) -> StateAccess:
     """The access priced from scratch: one ``transfer_delay`` per leg, added in leg order."""
     size = f.state_size
-    if host is None or host == exec_node or size == 0 or not mode.is_remote:
+    if host is None or host == exec_node or size == 0 or mode is StateMode.EMBEDDED:
         return StateAccess(0.0, 0.0)
     legs = ((host, exec_node), (exec_node, host)) if mode is StateMode.REMOTE_FIXED else ((host, exec_node),)
     delay = 0.0
