@@ -11,9 +11,9 @@ BENCHMARK.json it prints:
   wins            pairs in which the change read better; ties count for neither
   bound           "ok" when the change's median is no worse than the parent's
                   by more than the metric's bound, else "WORSE"
-  gain            "yes" when the change won at least 9/10 of the pairs and
-                  the medians differ, in the better direction, by more than
-                  the parent's interquartile range
+  gain            "yes" when at least 10 pairs ran, the change won at least
+                  9/10 of them and the medians differ, in the better
+                  direction, by more than the parent's interquartile range
 
 and, per side, the runs that were not correct and the failed invocations.
 
@@ -36,6 +36,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+MIN_GAIN_PAIRS = 10
+
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     """(first quartile, median, third quartile), inclusive method."""
@@ -46,7 +48,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """Compare paired runs of one metric; ``parent[i]`` and ``change[i]`` are pair i."""
+    """Compare paired runs of one metric; ``parent[i]`` and ``change[i]`` are pair i.
+
+    A gain needs at least ``MIN_GAIN_PAIRS`` pairs, the fewest the repo's
+    comparison rule accepts, however many of them the change wins.
+    """
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p_q1, p_med, p_q3 = quartiles(parent)
@@ -59,7 +65,7 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
         "wins": wins,
         "pairs": len(parent),
         "within_bound": sign * rel >= -bound,
-        "gain": 10 * wins >= 9 * len(parent) and sign * (c_med - p_med) > p_q3 - p_q1,
+        "gain": len(parent) >= MIN_GAIN_PAIRS and 10 * wins >= 9 * len(parent) and sign * (c_med - p_med) > p_q3 - p_q1,
     }
 
 

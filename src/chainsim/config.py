@@ -24,7 +24,6 @@ from .topology import (
     RouteTable,
     Topology,
     build_routes,
-    validate_topology,
 )
 
 MAX_SEED = 2**64 - 1
@@ -172,7 +171,7 @@ def _parse_topology(raw: Any, violations: list[str]) -> Topology | None:
             )
         )
     topo = Topology(tuple(nodes), tuple(links))
-    violations.extend(validate_topology(topo))
+    violations.extend(topo.violations)
     return topo
 
 

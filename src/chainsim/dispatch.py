@@ -114,7 +114,7 @@ def _least_estimate(
     worker id, as ``min`` over ``(estimate, worker)`` pairs would pick.
     """
     compute_ops, _ = stage_io(f, input_bytes)
-    nbytes, _ = state_mod.stage_transfer_sizes(input_bytes, None, f, ctx.mode)
+    nbytes = state_mod.stage_transfer_bytes(input_bytes, None, f, ctx.mode)
     classes, class_of = ctx.routes.hop_classes(ctx.payload_location, targets)
     class_xfer = [route.delay(nbytes) for route in classes]
     state = state_mod.state_delays(ctx.mode, ctx.state_host, f, targets, ctx.routes)

@@ -24,7 +24,7 @@ from . import state as state_mod
 from . import workload as wl
 from .config import Scenario
 from .dispatch import DispatchContext, choose_worker
-from .state import StateMode, StateRegistry, remote_state_access, stage_transfer_sizes
+from .state import StateMode, StateRegistry, remote_state_access, stage_transfer_bytes
 from .topology import NodeSpec
 from .workflow import FunctionSpec, stage_io, vertex_input_bytes
 
@@ -91,46 +91,39 @@ class MetricsLog:
 class _StagePlan(NamedTuple):
     """What the handlers read of one stage of one app; fixed for the run.
 
-    A hop's sizes are the producer's embedded state, the consumer's and the
-    carried state part, each from ``stage_transfer_sizes``; a missing
-    endpoint's size is 0.0.
+    A hop's two sizes are the producer's embedded state and the consumer's,
+    each ``stage_transfer_bytes`` at 0.0 data; a missing endpoint's is 0.0.
     """
 
     f: FunctionSpec
     preds: tuple[str, ...]
     succs: tuple[tuple[str, tuple[str, ...]], ...] | None  # (successor, its preds); None for the sink
     stateful: bool  # remote mode and state_size > 0
-    client: int
-    inputs: tuple[tuple[str | None, float, float, float], ...]  # (pred, *sizes) per pred; (None, *sizes) at the source
-    delivery: tuple[float, float, float] | None  # the sink's hop sizes
+    inputs: tuple[tuple[str | None, float, float], ...]  # (pred, *sizes) per pred; (None, *sizes) at the source
+    delivery: tuple[int, float, float] | None  # the sink's (client, *sizes)
 
 
 def _plans(scenario: Scenario) -> dict[str, dict[str, _StagePlan]]:
-    """One plan per ``(app, fid)``."""
+    """One plan per vertex of each app's DAG; a listed function outside the DAG has none and never runs."""
     mode = scenario.state_mode
 
-    def hop(producer: FunctionSpec | None, consumer: FunctionSpec | None) -> tuple[float, float, float]:
-        return (
-            stage_transfer_sizes(0.0, producer, None, mode)[1],
-            stage_transfer_sizes(0.0, None, consumer, mode)[1],
-            stage_transfer_sizes(0.0, producer, consumer, mode)[1],
-        )
+    def hop(producer: FunctionSpec | None, consumer: FunctionSpec | None) -> tuple[float, float]:
+        return stage_transfer_bytes(0.0, producer, None, mode), stage_transfer_bytes(0.0, None, consumer, mode)
 
     plans: dict[str, dict[str, _StagePlan]] = {}
     for app_id, app in scenario.apps.items():
         fns, dag = app.functions, app.dag
-        plans[app_id] = {
-            fid: _StagePlan(
+        plans[app_id] = app_plans = {}
+        for fid, preds in dag.preds.items():
+            f = fns[fid]
+            app_plans[fid] = _StagePlan(
                 f=f,
-                preds=dag.preds[fid],
+                preds=preds,
                 succs=tuple((q, dag.preds[q]) for q in dag.succs[fid]) if fid != dag.sink else None,
                 stateful=mode is not StateMode.EMBEDDED and f.state_size > 0,
-                client=app.client,
-                inputs=tuple((p, *hop(fns[p], f)) for p in dag.preds[fid]) or ((None, *hop(None, f)),),
-                delivery=hop(f, None) if fid == dag.sink else None,
+                inputs=tuple((p, *hop(fns[p], f)) for p in preds) or ((None, *hop(None, f)),),
+                delivery=(app.client, *hop(f, None)) if fid == dag.sink else None,
             )
-            for fid, f in fns.items()
-        }
     return plans
 
 
@@ -285,11 +278,14 @@ class _Run:
 
     # -- transfers ---------------------------------------------------------
 
-    def _hop(self, src: int, dst: int, nbytes: float, carried: float, rec: StageRecord) -> float:
-        """Delay of one stage transfer of ``nbytes`` on the wire, charged to links and ``rec`` in path order.
+    def _hop(self, src: int, dst: int, data: float, producer: float, consumer: float, rec: StageRecord) -> float:
+        """Delay of one stage transfer, charged to links and ``rec`` in path order.
 
-        ``carried`` is the embedded state in the wire size; it is state traffic only when the hop crosses the network.
+        The wire size is ``data + producer + consumer``, the hop's embedded
+        state sizes added in that order; the state part ``producer + consumer``
+        is state traffic only when the hop crosses the network.
         """
+        nbytes = data + producer + consumer
         route = self.routes.route(src, dst)
         link_bytes = self.link_bytes
         charged = rec.link_bytes
@@ -298,7 +294,7 @@ class _Run:
             charged += nbytes
         rec.link_bytes = charged
         if src != dst:
-            rec.state_bytes += carried
+            rec.state_bytes += producer + consumer
         delay = route.delay(nbytes)
         if not math.isfinite(delay):
             raise EngineError(f"non-finite transfer delay {src}->{dst} for {nbytes} bytes")
@@ -351,19 +347,18 @@ class _Run:
                           migration=access.migration, link_bytes=charged)
         inv.stages[fid] = rec
 
-        if not preds:
-            ((_, producer, consumer, carried),) = plan.inputs
-            d_in = self._hop(at_node, w, inv.payload + producer + consumer, carried, rec)
-        else:
-            # Predecessor outputs are retained at their producers and move in
-            # parallel once the join executor is known: the slowest transfer
-            # gates the stage, the first of equals as with ``max``.
-            stages = inv.stages
-            d_in = -math.inf
-            for p, producer, consumer, carried in plan.inputs:
-                d = self._hop(stages[p].worker, w, outputs[p] + producer + consumer, carried, rec)
-                if d > d_in:
-                    d_in = d
+        # The entry payload waits at the client and each predecessor output at
+        # its producer; all move in parallel once the executor is known: the
+        # slowest transfer gates the stage, the first of equals as with ``max``.
+        stages = inv.stages
+        d_in = -math.inf
+        for p, producer, consumer in plan.inputs:
+            if p is None:
+                d = self._hop(at_node, w, inv.payload, producer, consumer, rec)
+            else:
+                d = self._hop(stages[p].worker, w, outputs[p], producer, consumer, rec)
+            if d > d_in:
+                d_in = d
         rec.transfer_s = d_in
 
         ops, out_bytes = stage_io(f, input_bytes, inv.compute_factor)
@@ -400,8 +395,8 @@ class _Run:
         outputs[fid] = out_bytes
 
         if plan.succs is None:
-            producer, consumer, carried = plan.delivery
-            d_out = self._hop(w, plan.client, out_bytes + producer + consumer, carried, rec)
+            client, producer, consumer = plan.delivery
+            d_out = self._hop(w, client, out_bytes, producer, consumer, rec)
             self.schedule(now + d_out, DELIVERED, (inv_id,))
         else:
             # A successor is ready once every predecessor has an output, which

@@ -72,31 +72,27 @@ class StateAccess:
 ZERO_ACCESS = StateAccess(delay=0.0, bytes_moved=0.0)
 
 
-def stage_transfer_sizes(
+def stage_transfer_bytes(
     data_bytes: float,
     producer: "FunctionSpec | None",
     consumer: "FunctionSpec | None",
     mode: StateMode,
-) -> tuple[float, float]:
-    """Wire size of one stage transfer and the embedded state within it.
+) -> float:
+    """Wire size of one stage transfer: ``data + producer + consumer``, added in that order.
 
     The producer's embedded state rides the hop out of its executor and the
     consumer's rides the hop in; entry and delivery transfers have only one
-    function-side endpoint. The wire size is ``data + producer + consumer``
-    and the state part ``0.0 + producer + consumer``, each added in that order.
+    function-side endpoint. An endpoint adds ``0.0 + state_size`` in
+    embedded mode and 0.0 otherwise, so a state size of -0.0 counts as 0.0.
+    The embedded state within a hop is this size at ``data_bytes = 0.0``.
     """
     embedded = mode is StateMode.EMBEDDED
     nbytes = data_bytes
-    carried = 0.0
     if producer is not None:
-        size = producer.state_size if embedded else 0.0
-        nbytes += size
-        carried += size
+        nbytes += (0.0 + producer.state_size) if embedded else 0.0
     if consumer is not None:
-        size = consumer.state_size if embedded else 0.0
-        nbytes += size
-        carried += size
-    return nbytes, carried
+        nbytes += (0.0 + consumer.state_size) if embedded else 0.0
+    return nbytes
 
 
 def remote_state_access(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 ROLE_CLIENT = "client"
 ROLE_BROKER = "broker"
@@ -61,15 +61,18 @@ class Topology:
     """A set of nodes plus the links connecting them.
 
     Immutable by convention after construction; safe to share read-only
-    across concurrent replications.
+    across concurrent replications. ``violations`` is
+    ``validate_topology``'s result, derived once, when built.
     """
 
     nodes: tuple[NodeSpec, ...]
     links: tuple[LinkSpec, ...]
+    violations: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.nodes = tuple(self.nodes)
         self.links = tuple(self.links)
+        self.violations = tuple(validate_topology(self))
 
     def workers(self) -> list[NodeSpec]:
         return sorted((n for n in self.nodes if n.role == ROLE_WORKER), key=lambda n: n.id)
@@ -224,9 +227,8 @@ def build_routes(t: Topology) -> RouteTable:
     the reversed path. Propagation and bottleneck rate accumulate over the
     hops in path order. Raises ValueError on an invalid topology.
     """
-    violations = validate_topology(t)
-    if violations:
-        raise ValueError("invalid topology: " + "; ".join(violations))
+    if t.violations:
+        raise ValueError("invalid topology: " + "; ".join(t.violations))
 
     adj = _adjacency(t)
     link_params = {link.pair: (link.propagation, link.rate) for link in t.links}

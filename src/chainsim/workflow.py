@@ -219,10 +219,10 @@ def critical_path_time(
         w = a[v]
         input_bytes = vertex_input_bytes(preds[v], outputs, entry)
         if not preds[v]:
-            arrived = transfer_delay(rt, client, w, state_mod.stage_transfer_sizes(entry, None, f, mode)[0])
+            arrived = transfer_delay(rt, client, w, state_mod.stage_transfer_bytes(entry, None, f, mode))
         else:
             arrived = max(done[p] for p in preds[v]) + max(
-                transfer_delay(rt, a[p], w, state_mod.stage_transfer_sizes(outputs[p], functions[p], f, mode)[0])
+                transfer_delay(rt, a[p], w, state_mod.stage_transfer_bytes(outputs[p], functions[p], f, mode))
                 for p in preds[v]
             )
         access = state_mod.remote_state_access(mode, reg.get(d.app_id, v), f, w, rt)
@@ -235,5 +235,5 @@ def critical_path_time(
     sink = d.sink
     f_sink = functions[sink]
     return done[sink] + transfer_delay(
-        rt, a[sink], client, state_mod.stage_transfer_sizes(outputs[sink], f_sink, None, mode)[0]
+        rt, a[sink], client, state_mod.stage_transfer_bytes(outputs[sink], f_sink, None, mode)
     )

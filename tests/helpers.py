@@ -136,12 +136,12 @@ def enumerate_critical_path(
     cost of a path's step into a vertex is the slowest of all its input
     transfers, not the one along the path.
     """
-    from chainsim.state import stage_transfer_sizes
+    from chainsim.state import stage_transfer_bytes
     from chainsim.topology import transfer_delay
     from chainsim.workflow import stage_io, vertex_input_bytes
 
     def wire(data, producer, consumer):
-        return stage_transfer_sizes(data, producer, consumer, mode)[0]
+        return stage_transfer_bytes(data, producer, consumer, mode)
 
     entry = dag.entry_payload if entry_payload is None else entry_payload
     preds, succs = dag.preds, dag.succs
@@ -232,13 +232,13 @@ def reference_estimate(ctx, f, w, input_bytes) -> float:
     One ``transfer_delay`` and one ``remote_state_access`` per worker, with
     the terms added in the library's stated order.
     """
-    from chainsim.state import stage_transfer_sizes
+    from chainsim.state import stage_transfer_bytes
     from chainsim.topology import transfer_delay
     from chainsim.workflow import stage_io
 
     spec = ctx.loads[w].node
     mode = ctx.mode
-    wire, _state = stage_transfer_sizes(input_bytes, None, f, mode)
+    wire = stage_transfer_bytes(input_bytes, None, f, mode)
     est = transfer_delay(ctx.routes, ctx.payload_location, w, wire)
     est += remote_state_access(mode, ctx.state_host, f, w, ctx.routes).delay
     compute_ops, _ = stage_io(f, input_bytes)

@@ -51,7 +51,14 @@ def test_lower_is_better_and_the_bound():
 
 def test_one_pair():
     assert bench_pairs.quartiles([5.0]) == (5.0, 5.0, 5.0)
-    assert compare([5.0], [6.0], "higher", 0.25)["gain"]
+    assert not compare([5.0], [6.0], "higher", 0.25)["gain"]
+
+
+def test_gain_needs_ten_pairs():
+    change = [p + 20.0 for p in PARENT]
+    c = compare(PARENT[:9], change[:9], "higher", 0.25)
+    assert (c["wins"], c["pairs"], c["gain"]) == (9, 9, False)
+    assert compare(PARENT, change, "higher", 0.25)["gain"]
 
 
 def test_each_run_gets_a_fresh_empty_pycache_prefix(tmp_path, monkeypatch):

@@ -367,6 +367,29 @@ class TestRun:
             assert (out1 / "rep_000" / name).read_bytes() == (out2 / "rep_000" / name).read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
+    @pytest.mark.parametrize("name", VALID)
+    def test_a_function_outside_the_workflow_never_runs(self, name, tmp_path, capsys):
+        # A listed function that is no stage of its workflow passes validation,
+        # runs under every state mode and changes no output byte.
+        raw = load_json(CONFIGS / name)
+        raw["workload"]["horizon"] = 5.0
+        raw["replications"] = 1
+        extra = json.loads(json.dumps(raw))
+        for wd in extra["workflows"]:
+            wd["functions"].append({"id": "zz_unused", "fixed_ops": 1.0, "state_size": 5})
+        assert main(["validate", str(write_config(tmp_path, extra, "extra.json"))]) == 0
+        assert main(["describe", str(tmp_path / "extra.json")]) == 0
+        assert "    zz_unused: fixed_ops=1.0" in capsys.readouterr().out
+        for mode in ("embedded", "remote_fixed", "remote_migrate"):
+            for policy in ("min_latency_estimate", "round_robin"):
+                trees = []
+                for doc, label in ((raw, "plain"), (extra, "extra")):
+                    doc.update(state_mode=mode, policy=policy)
+                    out = tmp_path / f"{label}-{mode}-{policy}"
+                    assert main(["run", str(write_config(tmp_path, doc, f"{label}.json")), "--out", str(out)]) == 0
+                    trees.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+                assert trees[0] == trees[1] and len(trees[0]) == 4
+
     def test_unwritable_out_dir_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, chain_scenario_raw())
         blocker = tmp_path / "blocked"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from chainsim import engine, metrics
 from chainsim.config import load_json, scenario_from_raw
 from chainsim.dispatch import PolicyKind, _least_backlog, estimate_completion
-from chainsim.state import StateMode, StateRegistry, remote_state_access, stage_transfer_sizes
+from chainsim.state import StateMode, StateRegistry, remote_state_access, stage_transfer_bytes
 from chainsim.topology import NodeSpec
 from chainsim.workflow import critical_path_time
 
@@ -185,11 +185,11 @@ class TestPerStageBytes:
             if fid == app.dag.sink:
                 hops.append((rec.worker, app.client, inv.outputs[fid], f, None))
             for src, dst, data, producer, consumer in hops:
-                nbytes, carried = stage_transfer_sizes(data, producer, consumer, state_mode)
+                nbytes = stage_transfer_bytes(data, producer, consumer, state_mode)
                 for _link in rt.route(src, dst).links:
                     link_bytes += nbytes
                 if src != dst:
-                    state_bytes += carried
+                    state_bytes += stage_transfer_bytes(0.0, producer, consumer, state_mode)
             assert rec.migration == access.migration
             assert (rec.state_bytes.hex(), rec.link_bytes.hex()) == (state_bytes.hex(), link_bytes.hex())
 

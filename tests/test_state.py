@@ -9,7 +9,7 @@ from chainsim.state import (
     StateMode,
     StateRegistry,
     remote_state_access,
-    stage_transfer_sizes,
+    stage_transfer_bytes,
     state_delays,
 )
 from chainsim.topology import Route, build_routes, transfer_delay
@@ -34,27 +34,60 @@ def stateful(size=1000.0):
 class TestEmbeddedOverhead:
     def test_stateless_is_free(self):
         f = stateful(0.0)
-        assert stage_transfer_sizes(0.0, f, None, StateMode.EMBEDDED) == (0.0, 0.0)
-        assert stage_transfer_sizes(0.0, None, f, StateMode.EMBEDDED) == (0.0, 0.0)
+        assert stage_transfer_bytes(0.0, f, None, StateMode.EMBEDDED) == 0.0
+        assert stage_transfer_bytes(0.0, None, f, StateMode.EMBEDDED) == 0.0
 
     def test_embedded_carries_state_size(self):
         f = stateful(4096.0)
-        assert stage_transfer_sizes(0.0, f, None, StateMode.EMBEDDED) == (4096.0, 4096.0)
-        assert stage_transfer_sizes(0.0, None, f, StateMode.EMBEDDED) == (4096.0, 4096.0)
+        assert stage_transfer_bytes(0.0, f, None, StateMode.EMBEDDED) == 4096.0
+        assert stage_transfer_bytes(0.0, None, f, StateMode.EMBEDDED) == 4096.0
 
     def test_remote_modes_add_nothing(self):
         f = stateful(4096.0)
         for mode in (StateMode.REMOTE_FIXED, StateMode.REMOTE_MIGRATE):
-            assert stage_transfer_sizes(0.0, f, None, mode) == (0.0, 0.0)
-            assert stage_transfer_sizes(0.0, None, f, mode) == (0.0, 0.0)
+            assert stage_transfer_bytes(0.0, f, None, mode) == 0.0
+            assert stage_transfer_bytes(0.0, None, f, mode) == 0.0
 
-    def test_stage_transfer_sizes_adds_both_sides(self):
+    def test_stage_transfer_bytes_adds_both_sides(self):
         p = FunctionSpec("p", fixed_ops=1.0, state_size=100.0)
         q = FunctionSpec("q", fixed_ops=1.0, state_size=30.0)
-        assert stage_transfer_sizes(1000.0, p, q, StateMode.EMBEDDED) == (1130.0, 130.0)
-        assert stage_transfer_sizes(1000.0, None, q, StateMode.EMBEDDED) == (1030.0, 30.0)
-        assert stage_transfer_sizes(1000.0, p, None, StateMode.EMBEDDED) == (1100.0, 100.0)
-        assert stage_transfer_sizes(1000.0, p, q, StateMode.REMOTE_FIXED) == (1000.0, 0.0)
+        for producer, consumer, mode, wire, state in (
+            (p, q, StateMode.EMBEDDED, 1130.0, 130.0),
+            (None, q, StateMode.EMBEDDED, 1030.0, 30.0),
+            (p, None, StateMode.EMBEDDED, 1100.0, 100.0),
+            (p, q, StateMode.REMOTE_FIXED, 1000.0, 0.0),
+        ):
+            assert stage_transfer_bytes(1000.0, producer, consumer, mode) == wire
+            assert stage_transfer_bytes(0.0, producer, consumer, mode) == state
+
+
+# Sizes at the edges of the float line: signed zeros, subnormals, and
+# magnitudes far enough apart that the add order decides the rounding.
+_SIZES = st.sampled_from([0.0, -0.0, 5e-324, 2.5e-308, 1e-300, 0.1, 1.0, 3.3, 1e16, 1e300]) | st.floats(
+    min_value=0.0, max_value=1e300, allow_subnormal=True
+)
+
+
+class TestHopIdentity:
+    """The engine sizes a hop as ``data + producer + consumer`` from its two
+    embedded parts, and its state part as ``producer + consumer``: both must
+    be the rule's own sums, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=_SIZES,
+        p_size=_SIZES,
+        c_size=_SIZES,
+        ends=st.sampled_from(["both", "producer", "consumer"]),
+        mode=st.sampled_from(list(StateMode)),
+    )
+    def test_wire_and_state_part_are_sums_of_the_parts(self, data, p_size, c_size, ends, mode):
+        p = FunctionSpec("p", fixed_ops=1.0, state_size=p_size) if ends != "consumer" else None
+        c = FunctionSpec("c", fixed_ops=1.0, state_size=c_size) if ends != "producer" else None
+        producer = stage_transfer_bytes(0.0, p, None, mode)
+        consumer = stage_transfer_bytes(0.0, None, c, mode)
+        assert stage_transfer_bytes(data, p, c, mode).hex() == (data + producer + consumer).hex()
+        assert stage_transfer_bytes(0.0, p, c, mode).hex() == (producer + consumer).hex()
 
 
 class TestRemoteStateAccess:

@@ -79,6 +79,22 @@ class TestValidateTopology:
         assert "link (0,9) references unknown node 9" in violations
         assert "link (1,1) endpoints must differ" in violations
 
+    def test_a_config_build_validates_its_topology_once(self, monkeypatch):
+        import chainsim.topology as topology
+
+        calls = {"validate_topology": 0, "_dijkstra": 0}
+        for name in calls:
+
+            def counting(*args, _real=getattr(topology, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(topology, name, counting)
+        sc, errs = scenario_from_raw(load_json(CONFIGS / "edge_mesh.json"))
+        assert errs == [] and len(sc.topology.nodes) == 16
+        # one connectivity search, then one route search per node
+        assert calls == {"validate_topology": 1, "_dijkstra": 17}
+
 
 class TestBuildRoutes:
     def test_self_route_is_empty(self):
