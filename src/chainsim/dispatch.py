@@ -30,6 +30,11 @@ class PolicyKind(enum.Enum):
     MIN_LATENCY_ESTIMATE = "min_latency_estimate"
 
 
+# ``choose_worker`` tests the policy against these module globals: on CPython
+# 3.11 each ``PolicyKind.X`` read is a Python-level ``EnumType.__getattr__`` call.
+_RANDOM, _ROUND_ROBIN, _LEAST_LOADED, _STATE_LOCAL, _MIN_LATENCY_ESTIMATE = PolicyKind
+
+
 # (worker id, runtime, cores * core_speed, core_speed) of one candidate
 LoadRow = tuple[int, "WorkerRuntime", float, float]
 
@@ -70,18 +75,34 @@ class DispatchContext:
     # one row per candidate, in candidate order, derived once
     load_rows: tuple[LoadRow, ...] = field(init=False, repr=False, compare=False)
     cursors: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    # The candidates' distinct core speeds and each row's index into them;
+    # their hop classes per payload node and state delays per (state host,
+    # state size), each read from the route table's memo once, so that no
+    # decision hashes the candidate tuple.
+    speed_classes: tuple[tuple[float, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    hop_memo: dict[int, tuple] = field(init=False, repr=False, compare=False)
+    state_memo: dict[tuple[int | None, float], tuple[float, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.candidate_workers:
             raise ValueError("empty candidate list")
         self.load_rows = tuple(_load_row(self, w) for w in self.candidate_workers)
         self.cursors = {}
+        self.speed_classes = _speed_classes(self.load_rows)
+        self.hop_memo = {}
+        self.state_memo = {}
 
 
 def _load_row(ctx: DispatchContext, w: int) -> LoadRow:
     wr = ctx.loads[w]
     spec = wr.node
     return (w, wr, spec.cores * spec.core_speed, spec.core_speed)
+
+
+def _speed_classes(rows: tuple[LoadRow, ...]) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The distinct core speeds of ``rows``, in order of first appearance, and each row's index into them."""
+    speeds = tuple(dict.fromkeys(row[3] for row in rows))
+    return speeds, tuple(speeds.index(row[3]) for row in rows)
 
 
 def estimate_completion(ctx: DispatchContext, f: FunctionSpec, w: int, input_bytes: float) -> float:
@@ -110,22 +131,35 @@ def _least_estimate(
     priced once per distinct hop sequence from the payload's location. Each
     estimate adds its terms in the order
     ``xfer + state + backlog / (cores * speed) + ops / speed``, the backlog
-    summed as ``WorkerRuntime.backlog_ops`` sums it. Ties go to the lowest
-    worker id, as ``min`` over ``(estimate, worker)`` pairs would pick.
+    summed as ``WorkerRuntime.backlog_ops`` sums it. ``ops / speed`` is
+    divided once per distinct speed: equal operands give a bit-equal
+    quotient. Ties go to the lowest worker id, as ``min`` over
+    ``(estimate, worker)`` pairs would pick.
     """
     compute_ops, _ = stage_io(f, input_bytes)
     nbytes = state_mod.stage_transfer_bytes(input_bytes, None, f, ctx.mode)
-    classes, class_of = ctx.routes.hop_classes(ctx.payload_location, targets)
+    src, host = ctx.payload_location, ctx.state_host
+    if targets is ctx.candidate_workers:  # each table is non-empty, so a hit is truthy
+        hops = ctx.hop_memo.get(src) or ctx.hop_memo.setdefault(src, ctx.routes.hop_classes(src, targets))
+        key = (host, f.state_size)
+        state = ctx.state_memo.get(key) or ctx.state_memo.setdefault(
+            key, state_mod.state_delays(ctx.mode, host, f, targets, ctx.routes))
+        speeds, speed_of = ctx.speed_classes
+    else:
+        hops = ctx.routes.hop_classes(src, targets)
+        state = state_mod.state_delays(ctx.mode, host, f, targets, ctx.routes)
+        speeds, speed_of = _speed_classes(rows)
+    classes, class_of = hops
     class_xfer = [route.delay(nbytes) for route in classes]
-    state = state_mod.state_delays(ctx.mode, ctx.state_host, f, targets, ctx.routes)
+    compute = [compute_ops / speed for speed in speeds]
     now = ctx.now
     best = best_w = None
-    for (w, wr, capacity, speed), c, state_delay in zip(rows, class_of, state):
+    for (w, wr, capacity, speed), c, state_delay, k in zip(rows, class_of, state, speed_of):
         pending = wr.queued_ops
         for until in wr.busy_until:
             if until > now:
                 pending += (until - now) * speed
-        est = class_xfer[c] + state_delay + pending / capacity + compute_ops / speed
+        est = class_xfer[c] + state_delay + pending / capacity + compute[k]
         if best_w is None or est < best or (est == best and w < best_w):
             best, best_w = est, w
     return best, best_w
@@ -149,24 +183,24 @@ def choose_worker(ctx: DispatchContext, f: FunctionSpec, input_bytes: float) -> 
     policy = ctx.policy
     candidates = ctx.candidate_workers
 
-    if policy is PolicyKind.RANDOM:
+    if policy is _RANDOM:
         return candidates[int(ctx.rng.integers(0, len(candidates)))]
 
-    if policy is PolicyKind.ROUND_ROBIN:
+    if policy is _ROUND_ROBIN:
         key = (ctx.app_id, f.id)
         cur = ctx.cursors.get(key, 0)
         ctx.cursors[key] = (cur + 1) % len(candidates)
         return candidates[cur]
 
-    if policy is PolicyKind.LEAST_LOADED:
+    if policy is _LEAST_LOADED:
         return _least_backlog(ctx.now, ctx.load_rows)[1]
 
-    if policy is PolicyKind.STATE_LOCAL:
+    if policy is _STATE_LOCAL:
         if ctx.state_host in candidates:
             return ctx.state_host
         return _least_backlog(ctx.now, ctx.load_rows)[1]
 
-    if policy is PolicyKind.MIN_LATENCY_ESTIMATE:
+    if policy is _MIN_LATENCY_ESTIMATE:
         return _least_estimate(ctx, f, candidates, ctx.load_rows, input_bytes)[1]
 
     raise ValueError(f"unknown policy {policy}")

@@ -6,9 +6,11 @@ numbered up front in [0, horizon), arrival ``i`` taking ``seq = i``, but
 only the next one is on the heap: handling arrival ``i`` pushes ``i + 1``.
 Every other event takes the next seq after the arrivals, in creation order,
 so the pop order is that of a heap holding every arrival from the start.
-In-flight work drains, so a run terminates exactly when the heap is empty.
-Given a scenario (including seed) the produced metrics are a pure function
-of the inputs.
+Arrival times are checked when drawn; every other event time is checked
+once, where ``execute`` pops it, so an overflowed time (``inf``, which pops
+last) still fails the run with ``EngineError``. In-flight work drains, so
+a run terminates exactly when the heap is empty. Given a scenario
+(including seed) the produced metrics are a pure function of the inputs.
 """
 
 from __future__ import annotations
@@ -26,16 +28,18 @@ from .config import Scenario
 from .dispatch import DispatchContext, choose_worker
 from .state import StateMode, StateRegistry, remote_state_access, stage_transfer_bytes
 from .topology import NodeSpec
-from .workflow import FunctionSpec, stage_io, vertex_input_bytes
+from .workflow import FunctionSpec, _kahn, stage_io, vertex_input_bytes
 
-ARRIVAL = 0
-STAGE_READY = 1
-EXEC_START = 2
-EXEC_DONE = 3
-DELIVERED = 4
+# Event kinds; each event's data is what its handler reads.
+ARRIVAL = 0  # (inv_id,)
+STAGE_READY = 1  # (InvocationRecord, _StagePlan, node the stage's payload waits at)
+EXEC_START = 2  # Job
+EXEC_DONE = 3  # Job
+DELIVERED = 4  # InvocationRecord
 
 # One stage's job: the data of its EXEC_START and EXEC_DONE events.
-Job = tuple[int, str, int, float, float, "StageRecord"]  # inv_id, fid, worker, out_bytes, ops, record
+# (invocation, stage plan, worker, out_bytes, ops, stage record)
+Job = tuple["InvocationRecord", "_StagePlan", int, float, float, "StageRecord"]
 
 
 class EngineError(RuntimeError):
@@ -44,17 +48,22 @@ class EngineError(RuntimeError):
 
 @dataclass(slots=True)
 class StageRecord:
-    """Measurements for one executed stage of one invocation."""
+    """Measurements for one executed stage of one invocation.
+
+    The first six fields are known at dispatch, where the engine passes them
+    by position (a keyword call costs about three times as much); the rest
+    are set as the stage's inputs move and it runs.
+    """
 
     worker: int
     dispatch_time: float
-    transfer_s: float = 0.0
     state_delay_s: float = 0.0
     state_bytes: float = 0.0
     migration: bool = False
+    link_bytes: float = 0.0  # bytes x link-crossings attributed to this stage
+    transfer_s: float = 0.0
     queue_wait_s: float = 0.0
     compute_s: float = 0.0
-    link_bytes: float = 0.0  # bytes x link-crossings attributed to this stage
 
 
 @dataclass(slots=True)
@@ -91,40 +100,47 @@ class MetricsLog:
 class _StagePlan(NamedTuple):
     """What the handlers read of one stage of one app; fixed for the run.
 
-    A hop's two sizes are the producer's embedded state and the consumer's,
-    each ``stage_transfer_bytes`` at 0.0 data; a missing endpoint's is 0.0.
+    ``succs`` holds the successors' own plans, so an event carries the plan
+    of the stage it serves. A hop's two sizes are the producer's embedded
+    state and the consumer's, each ``stage_transfer_bytes`` at 0.0 data; a
+    missing endpoint's is 0.0.
     """
 
     f: FunctionSpec
     preds: tuple[str, ...]
-    succs: tuple[tuple[str, tuple[str, ...]], ...] | None  # (successor, its preds); None for the sink
+    succs: tuple[_StagePlan, ...] | None  # None for the sink
     stateful: bool  # remote mode and state_size > 0
     inputs: tuple[tuple[str | None, float, float], ...]  # (pred, *sizes) per pred; (None, *sizes) at the source
     delivery: tuple[int, float, float] | None  # the sink's (client, *sizes)
 
 
-def _plans(scenario: Scenario) -> dict[str, dict[str, _StagePlan]]:
-    """One plan per vertex of each app's DAG; a listed function outside the DAG has none and never runs."""
+def _entries(scenario: Scenario) -> dict[str, tuple[_StagePlan, int]]:
+    """Each app's source plan and client, with one plan per vertex of its DAG, built sink first.
+
+    A listed function outside the DAG has no plan and never runs.
+    """
     mode = scenario.state_mode
 
     def hop(producer: FunctionSpec | None, consumer: FunctionSpec | None) -> tuple[float, float]:
         return stage_transfer_bytes(0.0, producer, None, mode), stage_transfer_bytes(0.0, None, consumer, mode)
 
-    plans: dict[str, dict[str, _StagePlan]] = {}
+    entries: dict[str, tuple[_StagePlan, int]] = {}
     for app_id, app in scenario.apps.items():
         fns, dag = app.functions, app.dag
-        plans[app_id] = app_plans = {}
-        for fid, preds in dag.preds.items():
+        plans: dict[str, _StagePlan] = {}
+        for fid in reversed(_kahn(dag)):
             f = fns[fid]
-            app_plans[fid] = _StagePlan(
+            preds = dag.preds[fid]
+            plans[fid] = _StagePlan(
                 f=f,
                 preds=preds,
-                succs=tuple((q, dag.preds[q]) for q in dag.succs[fid]) if fid != dag.sink else None,
+                succs=tuple(plans[q] for q in dag.succs[fid]) if fid != dag.sink else None,
                 stateful=mode is not StateMode.EMBEDDED and f.state_size > 0,
                 inputs=tuple((p, *hop(fns[p], f)) for p in preds) or ((None, *hop(None, f)),),
                 delivery=(app.client, *hop(f, None)) if fid == dag.sink else None,
             )
-    return plans
+        entries[app_id] = (plans[dag.source], app.client)
+    return entries
 
 
 # Every finite float is an integer multiple of 2**-1074, the least subnormal,
@@ -202,7 +218,7 @@ class _Run:
         self.seed = seed
         self.apps = scenario.apps
         self.routes = scenario.routes
-        self.plans = _plans(scenario)
+        self.entries = _entries(scenario)
         self.workers = {n.id: WorkerRuntime(n) for n in scenario.topology.workers()}
         self.registry = StateRegistry()
         # One context serves every decision of the run and holds its policy,
@@ -221,7 +237,7 @@ class _Run:
             policy=scenario.policy,
             mode=scenario.state_mode,
         )
-        self.heap: list[tuple[float, int, int, tuple]] = []  # (time, seq, kind, data)
+        self.heap: list[tuple[float, int, int, object]] = []  # (time, seq, kind, data)
         self.seq = count()  # restarted after the arrivals, which take seq 0..n-1
         self.invocations: list[InvocationRecord] = []  # indexed by inv_id
         self.link_bytes: dict[tuple[int, int], float] = {
@@ -230,11 +246,6 @@ class _Run:
         self.completed = 0
 
     # -- event plumbing ----------------------------------------------------
-
-    def schedule(self, time: float, kind: int, data: tuple) -> None:
-        if not math.isfinite(time):
-            raise EngineError(f"non-finite event time {time} for kind {kind}")
-        heapq.heappush(self.heap, (time, next(self.seq), kind, data))
 
     def _inject_arrivals(self) -> None:
         merged: list[tuple[float, int, str, float, float]] = []
@@ -304,18 +315,17 @@ class _Run:
 
     def _on_arrival(self, now: float, data: tuple) -> None:
         (inv_id,) = data
-        app = self.apps[self.invocations[inv_id].app]
-        self.schedule(now, STAGE_READY, (inv_id, app.dag.source, app.client))
+        inv = self.invocations[inv_id]
+        source, client = self.entries[inv.app]
+        heapq.heappush(self.heap, (now, next(self.seq), STAGE_READY, (inv, source, client)))
         self._push_arrival(inv_id + 1)
 
     def _on_stage_ready(self, now: float, data: tuple) -> None:
-        inv_id, fid, at_node = data
-        inv = self.invocations[inv_id]
-        plan = self.plans[inv.app][fid]
+        inv, plan, at_node = data
         f = plan.f
-        preds = plan.preds
+        fid = f.id
         outputs = inv.outputs
-        input_bytes = vertex_input_bytes(preds, outputs, inv.payload)
+        input_bytes = vertex_input_bytes(plan.preds, outputs, inv.payload)
 
         # State is resolved at dispatch time from one registry read, which the
         # policy sees too: first touch seeds the host at the chosen worker for
@@ -335,16 +345,14 @@ class _Run:
             access = remote_state_access(ctx.mode, host, f, w, self.routes)
             size = f.state_size
             link_bytes = self.link_bytes
-            for src, dst in access.legs:
-                for key in self.routes.route(src, dst).links:
-                    link_bytes[key] += size
-                    charged += size
+            for key in access.links:
+                link_bytes[key] += size
+                charged += size
             if access.migration:
                 self.registry.move(inv.app, fid, w)
         elif plan.stateful:
             self.registry.seed(inv.app, fid, w)
-        rec = StageRecord(w, now, state_delay_s=access.delay, state_bytes=access.bytes_moved,
-                          migration=access.migration, link_bytes=charged)
+        rec = StageRecord(w, now, access.delay, access.bytes_moved, access.migration, charged)
         inv.stages[fid] = rec
 
         # The entry payload waits at the client and each predecessor output at
@@ -364,7 +372,8 @@ class _Run:
         ops, out_bytes = stage_io(f, input_bytes, inv.compute_factor)
         if not math.isfinite(ops):
             raise EngineError(f"non-finite compute demand for {fid}")
-        self.schedule(now + d_in + access.delay, EXEC_START, (inv_id, fid, w, out_bytes, ops, rec))
+        job = (inv, plan, w, out_bytes, ops, rec)
+        heapq.heappush(self.heap, (now + d_in + access.delay, next(self.seq), EXEC_START, job))
 
     def _on_exec_start(self, now: float, job: Job) -> None:
         wr = self.workers[job[2]]
@@ -385,28 +394,26 @@ class _Run:
         rec.compute_s = duration
         wr.busy_until[core] = now + duration
         wr.busy_seconds += duration
-        self.schedule(now + duration, EXEC_DONE, job)
+        heapq.heappush(self.heap, (now + duration, next(self.seq), EXEC_DONE, job))
 
     def _on_exec_done(self, now: float, job: Job) -> None:
-        inv_id, fid, w, out_bytes, _ops, rec = job
-        inv = self.invocations[inv_id]
-        plan = self.plans[inv.app][fid]
+        inv, plan, w, out_bytes, _ops, rec = job
         outputs = inv.outputs
-        outputs[fid] = out_bytes
+        outputs[plan.f.id] = out_bytes
 
         if plan.succs is None:
             client, producer, consumer = plan.delivery
             d_out = self._hop(w, client, out_bytes, producer, consumer, rec)
-            self.schedule(now + d_out, DELIVERED, (inv_id,))
+            heapq.heappush(self.heap, (now + d_out, next(self.seq), DELIVERED, inv))
         else:
             # A successor is ready once every predecessor has an output, which
             # happens exactly once: on its last predecessor's EXEC_DONE.
-            for q, q_preds in plan.succs:
-                for p in q_preds:
+            for succ in plan.succs:
+                for p in succ.preds:
                     if p not in outputs:
                         break
                 else:
-                    self.schedule(now, STAGE_READY, (inv_id, q, w))
+                    heapq.heappush(self.heap, (now, next(self.seq), STAGE_READY, (inv, succ, w)))
 
         wr = self.workers[w]
         if wr.queue:
@@ -414,9 +421,8 @@ class _Run:
             if core is not None:
                 self._start_on_core(wr, core, *wr.dequeue(), now)
 
-    def _on_delivered(self, now: float, data: tuple) -> None:
-        (inv_id,) = data
-        self.invocations[inv_id].completion = now
+    def _on_delivered(self, now: float, inv: InvocationRecord) -> None:
+        inv.completion = now
         self.completed += 1
 
     # -- main loop -----------------------------------------------------------
@@ -428,10 +434,13 @@ class _Run:
         handlers = (self._on_arrival, self._on_stage_ready, self._on_exec_start, self._on_exec_done, self._on_delivered)
         heap = self.heap
         heappop = heapq.heappop  # bound per run, so a replaced ``heapq`` is seen
+        inf = math.inf
         now = 0.0
         while heap:
             time, _, kind, data = heappop(heap)
-            if time < now:
+            if not now <= time < inf:
+                if not math.isfinite(time):
+                    raise EngineError(f"non-finite event time {time} for kind {kind}")
                 raise EngineError(f"event time went backwards: {time} < {now}")
             now = time
             handlers[kind](now, data)

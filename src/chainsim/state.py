@@ -26,9 +26,14 @@ if TYPE_CHECKING:
 
 
 class StateMode(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons; Enum's own hash is a Python call per memo key
+
     EMBEDDED = "embedded"
     REMOTE_FIXED = "remote_fixed"
     REMOTE_MIGRATE = "remote_migrate"
+
+
+_EMBEDDED = StateMode.EMBEDDED  # read per access; a ``StateMode.X`` read is an ``EnumType.__getattr__`` call
 
 
 @dataclass
@@ -64,9 +69,9 @@ class StateAccess:
     """Outcome of making one function's state available at its executor."""
 
     delay: float  # seconds
-    bytes_moved: float  # bytes over the network: len(legs) x state size
+    bytes_moved: float  # bytes over the network: network crossings x state size
     migration: bool = False  # the state moves to the executor
-    legs: tuple[tuple[int, int], ...] = ()  # (src, dst) of each network crossing, in order
+    links: tuple[tuple[int, int], ...] = ()  # LinkSpec.pair of each hop of each crossing, in order
 
 
 ZERO_ACCESS = StateAccess(delay=0.0, bytes_moved=0.0)
@@ -86,7 +91,7 @@ def stage_transfer_bytes(
     embedded mode and 0.0 otherwise, so a state size of -0.0 counts as 0.0.
     The embedded state within a hop is this size at ``data_bytes = 0.0``.
     """
-    embedded = mode is StateMode.EMBEDDED
+    embedded = mode is _EMBEDDED
     nbytes = data_bytes
     if producer is not None:
         nbytes += (0.0 + producer.state_size) if embedded else 0.0
@@ -113,7 +118,7 @@ def remote_state_access(
     ``(mode, host, exec_node, state_size)`` and the frozen result is shared.
     """
     size = f.state_size
-    if host is None or host == exec_node or size == 0 or mode is StateMode.EMBEDDED:
+    if host is None or host == exec_node or size == 0 or mode is _EMBEDDED:
         return ZERO_ACCESS
     return rt.memo((mode, host, exec_node, size), _price_access, mode, host, exec_node, size, rt)
 
@@ -124,13 +129,15 @@ def _price_access(mode: StateMode, host: int, exec_node: int, size: float, rt: R
     else:
         legs = ((host, exec_node),)
     delay = 0.0
+    links: tuple[tuple[int, int], ...] = ()
     for src, dst in legs:
         delay += transfer_delay(rt, src, dst, size)
+        links += rt.route(src, dst).links
     return StateAccess(
         delay=delay,
         bytes_moved=len(legs) * size,
         migration=mode is StateMode.REMOTE_MIGRATE,
-        legs=legs,
+        links=links,
     )
 
 

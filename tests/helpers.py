@@ -364,6 +364,28 @@ def chain_scenario_raw(
     }
 
 
+def overflowing_event_raw(kind: int) -> dict:
+    """A valid chain document whose first non-finite event time is an overflow, in an event of ``kind``.
+
+    Kind 2 (EXEC_START): state of 1e308 bytes is fetched and written back
+    over slow links, so the second dispatch's state delay overflows. Kinds 3
+    (EXEC_DONE) and 4 (DELIVERED): a client link of 1e308 s propagation
+    brings each stage in near 1e308 s, and a service time of about 1e308 s
+    (kind 3) or the delivery hop back (kind 4) overflows.
+    """
+    if kind == 2:
+        raw = chain_scenario_raw(n_workers=2, chain_len=1, state_size=1e308)
+        for link in raw["topology"]["links"]:
+            link["rate"] = 1.6  # 6.25e307 s per hop, two hops per crossing, two crossings
+        return raw
+    raw = chain_scenario_raw(n_workers=1, chain_len=1)
+    raw["topology"]["links"][0]["propagation"] = 1e308
+    if kind == 3:
+        raw["topology"]["nodes"][1]["core_speed"] = 1e-298
+        raw["workflows"][0]["functions"][0]["fixed_ops"] = 1e10
+    return raw
+
+
 def _topology_raw(topo: Topology, cores: int | None = None) -> dict:
     """A topology as a config document's ``topology`` object; ``cores`` overrides every worker's."""
     nodes = []

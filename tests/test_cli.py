@@ -11,7 +11,7 @@ import pytest
 from chainsim.cli import main
 from chainsim.config import load_json, scenario_from_raw, sweep_from_raw
 
-from helpers import chain_scenario_raw, summary_from_rows
+from helpers import chain_scenario_raw, overflowing_event_raw, summary_from_rows
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -441,6 +441,17 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"runtime error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", [2, 3, 4])  # EXEC_START, EXEC_DONE, DELIVERED
+    def test_overflowed_event_time_exit_two(self, kind, tmp_path, capsys):
+        cfg = write_config(tmp_path, overflowing_event_raw(kind))
+        assert main(["validate", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"runtime error: non-finite event time inf for kind {kind}\n"
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_nothing_completes_exit_zero(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainsim import state as state_mod
 from chainsim.dispatch import (
     DispatchContext,
     PolicyKind,
@@ -206,6 +207,24 @@ class TestOnePassChoice:
         best, best_w = _least_backlog(0.0, tuple(rows))
         ref_best, ref_w = min(zip(backlogs, ids))
         assert (best.hex(), best_w) == (ref_best.hex(), ref_w)
+
+    def test_repeated_decision_reads_no_route_table_memo(self, monkeypatch):
+        # The candidates are fixed per run, so the context keeps their hop
+        # classes and state delays: a decision at a seen payload node, state
+        # host and state size hashes no candidate tuple.
+        t, rt = star_network(n_workers=4)
+        reg = StateRegistry()
+        reg.seed("app", "f", host=2)
+        ctx = make_ctx(t, rt, payload_location=3, registry=reg, mode=StateMode.REMOTE_FIXED)
+        f = FunctionSpec("f", fixed_ops=1000.0, state_size=500.0)
+        first = choose_worker(ctx, f, 100.0)
+
+        def fail(*args):
+            raise AssertionError("route table memo read at a repeated decision")
+
+        monkeypatch.setattr(type(rt), "hop_classes", fail)
+        monkeypatch.setattr(state_mod, "state_delays", fail)
+        assert choose_worker(ctx, f, 100.0) == first
 
 
 class TestPolicyProperties:

@@ -17,6 +17,7 @@ from chainsim.workflow import critical_path_time
 from helpers import (
     batch_means_interval,
     chain_scenario_raw,
+    overflowing_event_raw,
     random_chain_scenario_raw,
     random_dag_scenario_raw,
     reference_choice,
@@ -175,7 +176,12 @@ class TestPerStageBytes:
                 hosts[inv.app, fid] = rec.worker
             state_bytes = access.bytes_moved
             link_bytes = 0.0
-            for src, dst in access.legs:
+            crossings = {
+                StateMode.REMOTE_FIXED: ((host, rec.worker), (rec.worker, host)),
+                StateMode.REMOTE_MIGRATE: ((host, rec.worker),),
+            }
+            legs = crossings[state_mode] if stateful and host not in (None, rec.worker) else ()
+            for src, dst in legs:
                 for _link in rt.route(src, dst).links:
                     link_bytes += f.state_size
             preds = app.dag.preds[fid]
@@ -474,8 +480,9 @@ class TestWorkerRuntime:
             return least([(rescan_backlog(ctx.loads[w], ctx.now), w) for w in ctx.candidate_workers])
 
         def spy(ctx, f, input_bytes):
-            run, now, (inv_id, fid, at_node) = ready[-1]
-            inv = run.invocations[inv_id]
+            run, now, (inv, plan, at_node) = ready[-1]
+            fid = plan.f.id
+            assert inv is run.invocations[inv.inv_id]
             preds = run.apps[inv.app].dag.preds[fid]
             assert ctx.policy is kind and ctx.mode is run.sc.state_mode
             assert f.id == fid and ctx.app_id == inv.app and ctx.now == now
@@ -630,6 +637,12 @@ class TestLazyArrivals:
 
 
 class TestEngineErrors:
+    @pytest.mark.parametrize("kind", [engine.EXEC_START, engine.EXEC_DONE, engine.DELIVERED])
+    def test_overflowed_event_time_raises(self, kind):
+        with pytest.raises(engine.EngineError) as err:
+            engine.run(build(overflowing_event_raw(kind)))
+        assert str(err.value) == f"non-finite event time inf for kind {kind}"
+
     def test_invalid_delay_aborts(self):
         raw = chain_scenario_raw()
         sc = build(raw, explicit={"app": [0.0]})

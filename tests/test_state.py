@@ -148,10 +148,11 @@ class TestStateAccessLegs:
             reg.seed("app", "f", host=1)
         access = remote_state_access(mode, reg.get("app", "f"), f, 1 if case == "colocated" else 2, net)
         crossings = {StateMode.REMOTE_FIXED: ((1, 2), (2, 1)), StateMode.REMOTE_MIGRATE: ((1, 2),)}
-        assert access.legs == (crossings.get(mode, ()) if case == "away" else ())
-        assert access.bytes_moved == len(access.legs) * f.state_size
-        assert access.delay == sum(transfer_delay(net, src, dst, f.state_size) for src, dst in access.legs)
-        assert access.migration == (mode is StateMode.REMOTE_MIGRATE and bool(access.legs))
+        legs = crossings.get(mode, ()) if case == "away" else ()
+        assert access.links == tuple(key for src, dst in legs for key in net.route(src, dst).links)
+        assert access.bytes_moved == len(legs) * f.state_size
+        assert access.delay == sum(transfer_delay(net, src, dst, f.state_size) for src, dst in legs)
+        assert access.migration == (mode is StateMode.REMOTE_MIGRATE and bool(legs))
 
 
 class TestRegistryMove:
@@ -227,9 +228,11 @@ def reference_access(mode, host, f, exec_node, rt) -> StateAccess:
         return StateAccess(0.0, 0.0)
     legs = ((host, exec_node), (exec_node, host)) if mode is StateMode.REMOTE_FIXED else ((host, exec_node),)
     delay = 0.0
+    links = ()
     for src, dst in legs:
         delay += transfer_delay(rt, src, dst, size)
-    return StateAccess(delay, len(legs) * size, mode is StateMode.REMOTE_MIGRATE, legs)
+        links += rt.route(src, dst).links
+    return StateAccess(delay, len(legs) * size, mode is StateMode.REMOTE_MIGRATE, links)
 
 
 SIZES = (0.0, 1000.0, 20000.0)
