@@ -5,6 +5,8 @@ One client, one single-core worker, exponential service via compute
 randomization, negligible network. Expected mean sojourn is 1/(mu - lambda).
 
 Usage: python scripts/mm1_check.py [--rho 0.5] [--completions 200000]
+
+--rho must lie in (0, 1) and --completions be at least 1; other values exit 2.
 """
 
 import argparse
@@ -18,10 +20,25 @@ from chainsim import engine
 from chainsim.config import load_json, scenario_from_raw
 
 
+def offered_load(text: str) -> float:
+    """An offered load strictly inside (0, 1): at 0 nothing arrives, at 1 the queue is unstable."""
+    rho = float(text)
+    if not 0.0 < rho < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return rho
+
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return n
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--rho", type=float, default=0.5, help="offered load lambda/mu")
-    parser.add_argument("--completions", type=int, default=200_000)
+    parser.add_argument("--rho", type=offered_load, default=0.5, help="offered load lambda/mu, in (0, 1)")
+    parser.add_argument("--completions", type=positive_int, default=200_000)
     parser.add_argument("--seed", type=int, default=4000)
     args = parser.parse_args()
 
@@ -42,6 +59,9 @@ def main() -> int:
     elapsed = time.perf_counter() - t0
 
     latencies = [inv.latency for inv in log.invocations if inv.latency is not None]
+    if not latencies:
+        print("error: no invocation completed; raise --completions", file=sys.stderr)
+        return 1
     mean = sum(latencies) / len(latencies)
     expected = 1.0 / (mu - lam)
     err = abs(mean - expected) / expected

@@ -8,7 +8,7 @@ toward the lowest worker id so runs replay identically.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -60,6 +60,12 @@ class DispatchContext:
     the context is built, and each candidate must be a key of ``loads``; a
     runtime's ``node`` is its worker's spec. ``cursors`` holds round robin's
     next candidate index per ``(app_id, function id)``.
+
+    The context is the one cache of the candidates' routing facts, so no
+    decision hashes the candidate tuple: the hop classes from a payload node
+    or state host go in ``hop_memo``, grouped once per node per run, and the
+    state delays from a host in ``state_memo``, priced once per
+    ``(host, state size)`` from that host's ``hop_memo`` entry.
     """
 
     app_id: str
@@ -72,37 +78,44 @@ class DispatchContext:
     loads: Mapping[int, WorkerRuntime]
     policy: PolicyKind
     mode: StateMode
-    # one row per candidate, in candidate order, derived once
+    # derived once from the candidates: one row each, in candidate order, and
+    # their distinct core speeds with each row's index into them
     load_rows: tuple[LoadRow, ...] = field(init=False, repr=False, compare=False)
-    cursors: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
-    # The candidates' distinct core speeds and each row's index into them;
-    # their hop classes per payload node and state delays per (state host,
-    # state size), each read from the route table's memo once, so that no
-    # decision hashes the candidate tuple.
     speed_classes: tuple[tuple[float, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    cursors: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     hop_memo: dict[int, tuple] = field(init=False, repr=False, compare=False)
     state_memo: dict[tuple[int | None, float], tuple[float, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.candidate_workers:
             raise ValueError("empty candidate list")
-        self.load_rows = tuple(_load_row(self, w) for w in self.candidate_workers)
+        rows = []
+        for w in self.candidate_workers:
+            wr = self.loads[w]
+            rows.append((w, wr, wr.node.cores * wr.node.core_speed, wr.node.core_speed))
+        self.load_rows = tuple(rows)
+        speeds = tuple(dict.fromkeys(row[3] for row in rows))
+        self.speed_classes = speeds, tuple(speeds.index(row[3]) for row in rows)
         self.cursors = {}
-        self.speed_classes = _speed_classes(self.load_rows)
         self.hop_memo = {}
         self.state_memo = {}
 
 
-def _load_row(ctx: DispatchContext, w: int) -> LoadRow:
-    wr = ctx.loads[w]
-    spec = wr.node
-    return (w, wr, spec.cores * spec.core_speed, spec.core_speed)
+def _fill_hops(ctx: DispatchContext, node: int) -> tuple:
+    """Group the candidates' routes from ``node`` into ``ctx.hop_memo``; once per node per run."""
+    hops = ctx.hop_memo[node] = ctx.routes.hop_classes(node, ctx.candidate_workers)
+    return hops
 
 
-def _speed_classes(rows: tuple[LoadRow, ...]) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """The distinct core speeds of ``rows``, in order of first appearance, and each row's index into them."""
-    speeds = tuple(dict.fromkeys(row[3] for row in rows))
-    return speeds, tuple(speeds.index(row[3]) for row in rows)
+def _fill_state(ctx: DispatchContext, host: int | None, f: FunctionSpec) -> tuple[float, ...]:
+    """Price the candidates' state delays from ``host`` into ``ctx.state_memo``; zeros while unplaced."""
+    if host is None:
+        delays = (0.0,) * len(ctx.candidate_workers)
+    else:
+        hops = ctx.hop_memo.get(host) or _fill_hops(ctx, host)
+        delays = state_mod.state_delays(ctx.mode, host, f, hops, ctx.routes)
+    ctx.state_memo[(host, f.state_size)] = delays
+    return delays
 
 
 def estimate_completion(ctx: DispatchContext, f: FunctionSpec, w: int, input_bytes: float) -> float:
@@ -112,24 +125,18 @@ def estimate_completion(ctx: DispatchContext, f: FunctionSpec, w: int, input_byt
     ``ctx.state_host`` (no migration applied; the estimate is a prediction,
     not a commitment) + backlog drain + stage compute. In-flight network
     transfers toward ``w`` are not visible to the dispatcher and are ignored.
-    Scored by ``min_latency_estimate``'s own pass, over the one worker.
+    Scored by ``min_latency_estimate``'s own pass on a one-candidate copy of
+    ``ctx``, so the caller's caches and cursors are left as they were.
     """
-    return _least_estimate(ctx, f, (w,), (_load_row(ctx, w),), input_bytes)[0]
+    return _least_estimate(replace(ctx, candidate_workers=(w,)), f, input_bytes)[0]
 
 
-def _least_estimate(
-    ctx: DispatchContext,
-    f: FunctionSpec,
-    targets: tuple[int, ...],
-    rows: tuple[LoadRow, ...],
-    input_bytes: float,
-) -> tuple[float, int]:
-    """The least ``estimate_completion`` over ``targets`` and its worker, in one pass.
+def _least_estimate(ctx: DispatchContext, f: FunctionSpec, input_bytes: float) -> tuple[float, int]:
+    """The least ``estimate_completion`` over the candidates and its worker, in one pass.
 
-    ``rows`` are the targets' load rows, in the same order. The wire size,
-    compute demand and state host are found once; the input transfer is
-    priced once per distinct hop sequence from the payload's location. Each
-    estimate adds its terms in the order
+    The wire size, compute demand and state host are found once; the input
+    transfer is priced once per distinct hop sequence from the payload's
+    location. Each estimate adds its terms in the order
     ``xfer + state + backlog / (cores * speed) + ops / speed``, the backlog
     summed as ``WorkerRuntime.backlog_ops`` sums it. ``ops / speed`` is
     divided once per distinct speed: equal operands give a bit-equal
@@ -139,22 +146,15 @@ def _least_estimate(
     compute_ops, _ = stage_io(f, input_bytes)
     nbytes = state_mod.stage_transfer_bytes(input_bytes, None, f, ctx.mode)
     src, host = ctx.payload_location, ctx.state_host
-    if targets is ctx.candidate_workers:  # each table is non-empty, so a hit is truthy
-        hops = ctx.hop_memo.get(src) or ctx.hop_memo.setdefault(src, ctx.routes.hop_classes(src, targets))
-        key = (host, f.state_size)
-        state = ctx.state_memo.get(key) or ctx.state_memo.setdefault(
-            key, state_mod.state_delays(ctx.mode, host, f, targets, ctx.routes))
-        speeds, speed_of = ctx.speed_classes
-    else:
-        hops = ctx.routes.hop_classes(src, targets)
-        state = state_mod.state_delays(ctx.mode, host, f, targets, ctx.routes)
-        speeds, speed_of = _speed_classes(rows)
-    classes, class_of = hops
+    # each cached value is a non-empty tuple, so a hit is truthy
+    classes, class_of = ctx.hop_memo.get(src) or _fill_hops(ctx, src)
+    state = ctx.state_memo.get((host, f.state_size)) or _fill_state(ctx, host, f)
+    speeds, speed_of = ctx.speed_classes
     class_xfer = [route.delay(nbytes) for route in classes]
     compute = [compute_ops / speed for speed in speeds]
     now = ctx.now
     best = best_w = None
-    for (w, wr, capacity, speed), c, state_delay, k in zip(rows, class_of, state, speed_of):
+    for (w, wr, capacity, speed), c, state_delay, k in zip(ctx.load_rows, class_of, state, speed_of):
         pending = wr.queued_ops
         for until in wr.busy_until:
             if until > now:
@@ -201,6 +201,6 @@ def choose_worker(ctx: DispatchContext, f: FunctionSpec, input_bytes: float) -> 
         return _least_backlog(ctx.now, ctx.load_rows)[1]
 
     if policy is _MIN_LATENCY_ESTIMATE:
-        return _least_estimate(ctx, f, candidates, ctx.load_rows, input_bytes)[1]
+        return _least_estimate(ctx, f, input_bytes)[1]
 
     raise ValueError(f"unknown policy {policy}")

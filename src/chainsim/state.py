@@ -19,14 +19,14 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .topology import RouteTable, transfer_delay
+from .topology import Route, RouteTable, transfer_delay
 
 if TYPE_CHECKING:
     from .workflow import FunctionSpec
 
 
 class StateMode(enum.Enum):
-    __hash__ = object.__hash__  # members are singletons; Enum's own hash is a Python call per memo key
+    __hash__ = object.__hash__  # members are singletons; Enum's own hash is a Python call per access key
 
     EMBEDDED = "embedded"
     REMOTE_FIXED = "remote_fixed"
@@ -114,13 +114,17 @@ def remote_state_access(
     execution. Otherwise remote_fixed pays fetch plus write-back against the
     host and remote_migrate pays a single transfer to the executor. Pure:
     the caller records a migration with ``StateRegistry.move``. Routes are
-    static, so each priced access is memoized on ``rt`` per
+    static, so each priced access is kept in ``rt.accesses`` per
     ``(mode, host, exec_node, state_size)`` and the frozen result is shared.
     """
     size = f.state_size
     if host is None or host == exec_node or size == 0 or mode is _EMBEDDED:
         return ZERO_ACCESS
-    return rt.memo((mode, host, exec_node, size), _price_access, mode, host, exec_node, size, rt)
+    key = (mode, host, exec_node, size)
+    access = rt.accesses.get(key)
+    if access is None:
+        access = rt.accesses[key] = _price_access(mode, host, exec_node, size, rt)
+    return access
 
 
 def _price_access(mode: StateMode, host: int, exec_node: int, size: float, rt: RouteTable) -> StateAccess:
@@ -143,26 +147,19 @@ def _price_access(mode: StateMode, host: int, exec_node: int, size: float, rt: R
 
 def state_delays(
     mode: StateMode,
-    host: int | None,
+    host: int,
     f: "FunctionSpec",
-    targets: tuple[int, ...],
+    hops: tuple[tuple[Route, ...], tuple[int, ...]],
     rt: RouteTable,
 ) -> tuple[float, ...]:
-    """``remote_state_access(...).delay`` at each of ``targets``.
+    """``remote_state_access(mode, host, f, w, rt).delay`` at each target ``w`` of ``hops``.
 
+    ``hops`` is ``rt.hop_classes(host, targets)``, so the state is placed.
     Targets whose routes from ``host`` have equal hops have equal reverse
     hops too, so bit-equal delays for both legs: each hop class is priced
-    once, at its first target. The vector is memoized on ``rt`` per
-    ``(host, targets, state_size, mode)``.
+    once, at its first target. Nothing is memoized here; the caller keeps
+    the vector.
     """
-    return rt.memo(("state", host, targets, f.state_size, mode), _price_delays, mode, host, f, targets, rt)
-
-
-def _price_delays(
-    mode: StateMode, host: int | None, f: "FunctionSpec", targets: tuple[int, ...], rt: RouteTable
-) -> tuple[float, ...]:
-    if host is None:
-        return (0.0,) * len(targets)
-    classes, class_of = rt.hop_classes(host, targets)
+    classes, class_of = hops
     priced = [remote_state_access(mode, host, f, route.path[-1], rt).delay for route in classes]
     return tuple(priced[c] for c in class_of)

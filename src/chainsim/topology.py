@@ -24,7 +24,6 @@ ROLE_BROKER = "broker"
 ROLE_WORKER = "worker"
 ROLES = (ROLE_CLIENT, ROLE_BROKER, ROLE_WORKER)
 MAX_CORES = 4096  # the engine keeps one busy-until time per core
-_MISSING = object()  # RouteTable.memo's marker for a key not yet computed
 
 
 @dataclass(frozen=True)
@@ -101,21 +100,15 @@ class Route:
 class RouteTable:
     """All-pairs routes for a validated topology.
 
-    Quantities fixed by the routes alone are memoized on the table as they
-    are first asked for (``memo``), so a run fills them lazily and every
-    value is computed once, by the same expression as without the memo.
+    ``accesses`` holds each priced state access, keyed by
+    ``(mode, host, exec_node, state_size)``. Only
+    ``state.remote_state_access`` reads and fills it: routes are static, so
+    an access priced once holds for every later run on the table.
     """
 
     def __init__(self, routes: dict[tuple[int, int], Route]):
         self._routes = routes
-        self._memo: dict[tuple, object] = {}
-
-    def memo(self, key: tuple, build, *args):
-        """``build(*args)``, computed on the first call with ``key`` and reused after."""
-        value = self._memo.get(key, _MISSING)
-        if value is _MISSING:
-            value = self._memo[key] = build(*args)
-        return value
+        self.accesses: dict[tuple, object] = {}
 
     def hop_classes(self, src: int, targets: tuple[int, ...]) -> tuple[tuple[Route, ...], tuple[int, ...]]:
         """Routes from ``src`` to ``targets`` grouped by equal ``hops``.
@@ -123,11 +116,8 @@ class RouteTable:
         Returns one route per distinct hop sequence, in order of first
         appearance, and each target's index into them. Routes with equal
         hops have bit-identical delays for any size, so a caller prices
-        each class once. Memoized per ``(src, targets)``.
+        each class once. Grouped anew on every call.
         """
-        return self.memo(("hops", src, targets), self._group_by_hops, src, targets)
-
-    def _group_by_hops(self, src: int, targets: tuple[int, ...]) -> tuple[tuple[Route, ...], tuple[int, ...]]:
         index: dict[tuple[tuple[float, float], ...], int] = {}
         classes: list[Route] = []
         class_of: list[int] = []

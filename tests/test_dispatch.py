@@ -211,20 +211,52 @@ class TestOnePassChoice:
     def test_repeated_decision_reads_no_route_table_memo(self, monkeypatch):
         # The candidates are fixed per run, so the context keeps their hop
         # classes and state delays: a decision at a seen payload node, state
-        # host and state size hashes no candidate tuple.
+        # host and state size groups no route and prices no state access.
         t, rt = star_network(n_workers=4)
         reg = StateRegistry()
         reg.seed("app", "f", host=2)
         ctx = make_ctx(t, rt, payload_location=3, registry=reg, mode=StateMode.REMOTE_FIXED)
         f = FunctionSpec("f", fixed_ops=1000.0, state_size=500.0)
         first = choose_worker(ctx, f, 100.0)
+        # one entry per node, the state host's reused for its state delays
+        assert sorted(ctx.hop_memo) == [2, 3]
+        assert list(ctx.state_memo) == [(2, 500.0)]
+        hops, delays = dict(ctx.hop_memo), dict(ctx.state_memo)
 
         def fail(*args):
-            raise AssertionError("route table memo read at a repeated decision")
+            raise AssertionError("route grouped or state priced at a repeated decision")
 
         monkeypatch.setattr(type(rt), "hop_classes", fail)
         monkeypatch.setattr(state_mod, "state_delays", fail)
+        monkeypatch.setattr(state_mod, "remote_state_access", fail)
+        monkeypatch.setattr(state_mod, "_price_access", fail)
         assert choose_worker(ctx, f, 100.0) == first
+        assert ctx.hop_memo == hops and ctx.state_memo == delays
+        assert all(ctx.hop_memo[k] is v for k, v in hops.items())
+        assert all(ctx.state_memo[k] is v for k, v in delays.items())
+
+    @pytest.mark.parametrize("policy", [PolicyKind.ROUND_ROBIN, PolicyKind.MIN_LATENCY_ESTIMATE])
+    def test_estimate_leaves_the_context_as_it_was(self, policy):
+        # estimate_completion scores a copy of the context, so the caller's
+        # caches and cursors keep their entries, unseen nodes included, and
+        # the next decision is the one a context with no estimates makes.
+        t, rt = star_network(n_workers=4)
+        reg = StateRegistry()
+        reg.seed("app", "f", host=2)
+        f = FunctionSpec("f", fixed_ops=1000.0, state_size=500.0)
+        ctx, twin = (make_ctx(t, rt, backlog={1: 3000.0, 3: 500.0}, payload_location=3, registry=reg,
+                              policy=policy, mode=StateMode.REMOTE_FIXED) for _ in range(2))
+        assert choose_worker(ctx, f, 100.0) == choose_worker(twin, f, 100.0)
+        before = [dict(memo) for memo in (ctx.hop_memo, ctx.state_memo, ctx.cursors)]
+        for src, host in ((3, 2), (0, 4), (1, None)):
+            ctx.payload_location, ctx.state_host = src, host
+            for w in ctx.candidate_workers:
+                assert estimate_completion(ctx, f, w, 100.0).hex() == reference_estimate(ctx, f, w, 100.0).hex()
+            after = [ctx.hop_memo, ctx.state_memo, ctx.cursors]
+            assert after == before
+            assert all(a[k] is v for a, b in zip(after, before) for k, v in b.items())
+        ctx.payload_location, ctx.state_host = 3, 2
+        assert choose_worker(ctx, f, 100.0) == choose_worker(twin, f, 100.0)
 
 
 class TestPolicyProperties:
@@ -331,7 +363,7 @@ class TestScoresMatchReference:
                     input_bytes = rng.choice([0.0, 1000.0, 12345.6])
                     reference = [reference_estimate(ctx, f, w, input_bytes) for w in candidates]
                     expected = [x.hex() for x in reference]
-                    best, best_w = _least_estimate(ctx, f, tuple(candidates), ctx.load_rows, input_bytes)
+                    best, best_w = _least_estimate(ctx, f, input_bytes)
                     ref_best, ref_w = min(zip(reference, candidates))
                     assert (best.hex(), best_w) == (ref_best.hex(), ref_w)
                     assert [estimate_completion(ctx, f, w, input_bytes).hex() for w in candidates] == expected

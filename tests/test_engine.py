@@ -11,7 +11,7 @@ from chainsim import engine, metrics
 from chainsim.config import load_json, scenario_from_raw
 from chainsim.dispatch import PolicyKind, _least_backlog, estimate_completion
 from chainsim.state import StateMode, StateRegistry, remote_state_access, stage_transfer_bytes
-from chainsim.topology import NodeSpec
+from chainsim.topology import NodeSpec, RouteTable
 from chainsim.workflow import critical_path_time
 
 from helpers import (
@@ -538,8 +538,41 @@ class TestMinLatencyAgainstReference:
             expected = engine.run(sc)
         migrations = metrics.summary_record(expected, metrics.invocation_rows(expected))["total_migrations"]
         assert migrations > 0 or mode != "remote_migrate"
-        assert engine.run(sc) == expected  # the route table's memo fills
-        assert engine.run(sc) == expected  # and is reused by the next run
+        assert engine.run(sc) == expected  # the route table's priced accesses fill
+        assert engine.run(sc) == expected  # and are reused by the next run
+
+    @pytest.mark.parametrize("mode", ["remote_fixed", "remote_migrate"])
+    def test_routes_grouped_once_per_node(self, mode, monkeypatch):
+        # A worker is both a payload node and a state host, and under
+        # remote_migrate edge_mesh's three state sizes meet at one host, so
+        # it is seen under several (host, size) keys. The run's context
+        # groups the candidates' routes from each such node once.
+        raw = load_json(CONFIGS / "edge_mesh.json")
+        raw["policy"], raw["state_mode"] = "min_latency_estimate", mode
+        sc = build(raw)
+        grouped = []
+        hop_classes = RouteTable.hop_classes
+
+        def counting_hop_classes(rt, src, targets):
+            grouped.append(src)
+            return hop_classes(rt, src, targets)
+
+        payload_nodes, host_sizes = set(), set()
+        choose = engine.choose_worker
+
+        def spy(ctx, f, input_bytes):
+            payload_nodes.add(ctx.payload_location)
+            if ctx.state_host is not None:
+                host_sizes.add((ctx.state_host, f.state_size))
+            return choose(ctx, f, input_bytes)
+
+        monkeypatch.setattr(RouteTable, "hop_classes", counting_hop_classes)
+        monkeypatch.setattr(engine, "choose_worker", spy)
+        engine.run(sc)
+        hosts = {host for host, _ in host_sizes}
+        assert payload_nodes & hosts
+        assert len(host_sizes) > len(hosts) or mode == "remote_fixed"
+        assert sorted(grouped) == sorted(payload_nodes | hosts)
 
 
 class TestStateRegistryReads:

@@ -255,7 +255,6 @@ class TestHopClasses:
             for dst, c in zip(targets, class_of):
                 assert classes[c].hops == rt.route(src, dst).hops
                 assert classes[c].delay(nbytes).hex() == transfer_delay(rt, src, dst, nbytes).hex()
-            assert rt.hop_classes(src, targets) is rt.hop_classes(src, targets)
 
 
 class TestRouteLinks:
