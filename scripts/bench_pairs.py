@@ -13,7 +13,8 @@ BENCHMARK.json it prints:
                   by more than the metric's bound, else "WORSE"
   gain            "yes" when at least 10 pairs ran, the change won at least
                   9/10 of them and the medians differ, in the better
-                  direction, by more than the parent's interquartile range
+                  direction, by more than the parent's interquartile range;
+                  "n/a (<10 pairs)" when fewer pairs ran, whatever they show
 
 and, per side, the runs that were not correct and the failed invocations.
 
@@ -93,6 +94,12 @@ def _fmt(x: float) -> str:
     return f"{x:.4g}" if abs(x) < 1000 else f"{x:.0f}"
 
 
+def _gain(c: dict) -> str:
+    if c["pairs"] < MIN_GAIN_PAIRS:
+        return f"n/a (<{MIN_GAIN_PAIRS} pairs)"
+    return "yes" if c["gain"] else "no"
+
+
 def report(runs: dict, benchmark: dict) -> bool:
     """Print the comparison of ``runs[workload][side]``; True when every run was clean."""
     clean = True
@@ -112,7 +119,7 @@ def report(runs: dict, benchmark: dict) -> bool:
                 f"  {name:<13} parent {_fmt(pm)} [{_fmt(p1)}, {_fmt(p3)}]"
                 f"  change {_fmt(cm)} [{_fmt(c1)}, {_fmt(c3)}] {metric['unit']}"
                 f"  change/parent {c['rel']:+.1%}  wins {c['wins']}/{c['pairs']}"
-                f"  bound {'ok' if c['within_bound'] else 'WORSE'}  gain {'yes' if c['gain'] else 'no'}"
+                f"  bound {'ok' if c['within_bound'] else 'WORSE'}  gain {_gain(c)}"
             )
     return clean
 

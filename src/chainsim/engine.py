@@ -143,46 +143,51 @@ def _entries(scenario: Scenario) -> dict[str, tuple[_StagePlan, int]]:
     return entries
 
 
-# Every finite float is an integer multiple of 2**-1074, the least subnormal,
-# so queued ops summed in these units are exact in any order.
-_ULP_SCALE = 1 << 1074
-
-
-def _exact_units(x: float) -> int:
-    num, den = x.as_integer_ratio()  # den is a power of two, at most 2**1074
-    return num << (1075 - den.bit_length())
-
-
 class WorkerRuntime:
     """Per-core busy-until times plus a FIFO queue of ``(job, t_enq)`` items.
 
     The queue changes only through ``enqueue`` and ``dequeue``, which keep
-    the exact total of its ops: ``queued_ops`` is that total correctly
-    rounded, and exactly 0.0 when the queue is empty.
+    the exact total of its ops in ``queued_units``, counted in units of
+    ``1 / divisor``: ``divisor`` is ``2**scale``, the largest denominator of
+    the ops queued since the queue was last empty, so each op is a whole
+    number of units and the integer sum is exact in any order. ``queued_ops``
+    is that total correctly rounded, and exactly 0.0 when the queue is empty.
     """
 
-    __slots__ = ("node", "busy_until", "queue", "busy_seconds", "queued_units", "queued_ops")
+    __slots__ = ("node", "busy_until", "queue", "busy_seconds", "queued_units", "scale", "divisor", "queued_ops")
 
     def __init__(self, node: NodeSpec):
         self.node = node
         self.busy_until = [0.0] * node.cores
         self.queue: deque[tuple[Job, float]] = deque()
         self.busy_seconds = 0.0
-        self.queued_units = 0
+        self.queued_units = self.scale = 0
+        self.divisor = 1
         self.queued_ops = 0.0
 
     def enqueue(self, job: Job, t_enq: float) -> None:
         self.queue.append((job, t_enq))
-        self.queued_units += _exact_units(job[4])
+        num, den = job[4].as_integer_ratio()  # den is 2**e, e at most 1074
+        e = den.bit_length() - 1
+        k = self.scale
+        if e > k:
+            self.queued_units = (self.queued_units << (e - k)) + num
+            self.scale, self.divisor = e, den
+        else:
+            self.queued_units += num << (k - e)
         try:
-            self.queued_ops = self.queued_units / _ULP_SCALE
+            self.queued_ops = self.queued_units / self.divisor
         except OverflowError:
             raise EngineError(f"queued ops on worker {self.node.id} exceed the float range") from None
 
     def dequeue(self) -> tuple[Job, float]:
         item = self.queue.popleft()
-        self.queued_units -= _exact_units(item[0][4])
-        self.queued_ops = self.queued_units / _ULP_SCALE
+        if self.queue:
+            num, den = item[0][4].as_integer_ratio()
+            self.queued_units -= num << (self.scale + 1 - den.bit_length())
+            self.queued_ops = self.queued_units / self.divisor
+        else:
+            self.queued_units, self.scale, self.divisor, self.queued_ops = 0, 0, 1, 0.0
         return item
 
     def free_core(self, now: float) -> int | None:

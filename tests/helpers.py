@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 from chainsim.state import StateRegistry, remote_state_access
 from chainsim.topology import LinkSpec, NodeSpec, Topology
@@ -214,6 +215,11 @@ def rescan_backlog(wr, now: float) -> float:
         if until > now:
             pending += (until - now) * speed
     return pending
+
+
+def exact_queued_ops(wr, *more: float) -> float:
+    """Reference ``queued_ops`` of a ``WorkerRuntime`` with ``more`` ops queued: each op a fraction, the sum rounded once."""
+    return float(sum(map(Fraction, [*(job[4] for job, _t_enq in wr.queue), *more])))
 
 
 def loaded_runtimes(workers, backlog) -> dict:

@@ -61,6 +61,29 @@ def test_gain_needs_ten_pairs():
     assert compare(PARENT, change, "higher", 0.25)["gain"]
 
 
+def _runs(parent: list[float], change: list[float]) -> dict:
+    def side(values):
+        return [{"metrics": {"stages_per_s": {"value": v}}, "correct": True, "status": 0, "failed": 0} for v in values]
+
+    return {"w": {"parent": side(parent), "change": side(change)}}
+
+
+BENCH = {"end_to_end": [{"name": "stages_per_s", "unit": "stages/s", "better": "higher", "bound": 0.25}]}
+
+
+def test_report_prints_no_gain_verdict_below_ten_pairs(capsys):
+    change = [p + 20.0 for p in PARENT]
+    assert bench_pairs.report(_runs(PARENT[:6], change[:6]), BENCH)
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "  stages_per_s  parent 100 [99.25, 100.8]  change 120 [119.2, 120.8] stages/s"
+        "  change/parent +20.0%  wins 6/6  bound ok  gain n/a (<10 pairs)"
+    )
+    bench_pairs.report(_runs(PARENT, change), BENCH)
+    assert capsys.readouterr().out.splitlines()[-1].endswith("wins 10/10  bound ok  gain yes")
+    bench_pairs.report(_runs(PARENT, PARENT), BENCH)
+    assert capsys.readouterr().out.splitlines()[-1].endswith("wins 0/10  bound ok  gain no")
+
+
 def test_each_run_gets_a_fresh_empty_pycache_prefix(tmp_path, monkeypatch):
     calls = []
 

@@ -17,6 +17,7 @@ from chainsim.workflow import critical_path_time
 from helpers import (
     batch_means_interval,
     chain_scenario_raw,
+    exact_queued_ops,
     overflowing_event_raw,
     random_chain_scenario_raw,
     random_dag_scenario_raw,
@@ -400,6 +401,12 @@ class TestMMc:
 
 
 QUEUED_OPS = st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False)
+# subnormals, ops near the float limit and everything between, so a queue mixes exponents
+EXTREME_OPS = st.one_of(
+    st.sampled_from([5e-324, 2.2e-308, 8.98e307, 0.0, 0.1, 1.0, 2e5]),
+    st.floats(min_value=0.0, max_value=8.98e307, allow_nan=False, allow_infinity=False),
+    QUEUED_OPS,
+)
 
 
 class TestWorkerRuntime:
@@ -440,6 +447,70 @@ class TestWorkerRuntime:
             idle_at = [min(until, now) for until in busy_until]
             wr.busy_until = idle_at
             assert wr.backlog_ops(now).hex() == (0.0).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(EXTREME_OPS, st.none(), st.just("drain")),
+            max_size=40,
+        )
+    )
+    @example(steps=[5e-324, 1000.0, None, 2.2e-308, "drain", 0.1, 3.0, None, 8.98e307, 8.98e307, 5e-324])
+    @example(steps=[8.98e307, 5e-324, 8.98e307, None, 8.98e307, 8.98e307])  # the last overflows
+    def test_queued_ops_is_the_correctly_rounded_exact_sum(self, steps):
+        # None dequeues one op, "drain" empties the queue; the reference sums
+        # fractions, so it shares nothing with the runtime's integer scale, and
+        # reads (0.0).hex() for an empty queue
+        wr = engine.WorkerRuntime(NodeSpec(1, "worker", cores=1, core_speed=1e6))
+        for i, step in enumerate(steps):
+            if step is None or step == "drain":
+                while wr.queue:
+                    wr.dequeue()
+                    if step is None:
+                        break
+            else:
+                try:
+                    exact_queued_ops(wr, step)
+                except OverflowError:
+                    with pytest.raises(engine.EngineError, match="exceed the float range"):
+                        wr.enqueue((i, "f", 1, 0.0, step), 0.0)
+                    return
+                wr.enqueue((i, "f", 1, 0.0, step), 0.0)
+            assert wr.queued_ops.hex() == exact_queued_ops(wr).hex()
+
+    @pytest.mark.parametrize("ops", [[1e308, 5e-324], [5e-324, 1e308]])
+    def test_a_subnormal_beside_a_huge_op_rounds_away_without_overflow(self, ops):
+        wr = engine.WorkerRuntime(NodeSpec(1, "worker", cores=1, core_speed=1e6))
+        for i, x in enumerate(ops):
+            wr.enqueue((i, "f", 1, 0.0, x), 0.0)
+        assert wr.queued_ops == 1e308
+        wr.dequeue()
+        assert wr.queued_ops == ops[1]
+
+    def test_queued_ops_beyond_the_float_range_raise(self):
+        wr = engine.WorkerRuntime(NodeSpec(1, "worker", cores=1, core_speed=1e6))
+        wr.enqueue((0, "f", 1, 0.0, 1e308), 0.0)
+        with pytest.raises(engine.EngineError) as err:
+            wr.enqueue((1, "f", 1, 0.0, 1e308), 0.0)
+        assert str(err.value) == "queued ops on worker 1 exceed the float range"
+
+    def test_an_emptied_queue_drops_the_subnormal_scale(self):
+        # while a subnormal op is queued the total counts in its tiny units;
+        # once the queue empties, ordinary ops go back to small integers
+        wr = engine.WorkerRuntime(NodeSpec(1, "worker", cores=1, core_speed=1e6))
+        wr.enqueue((0, "f", 1, 0.0, 5e-324), 0.0)
+        wr.enqueue((1, "f", 1, 0.0, 1000.0), 0.0)
+        assert wr.queued_units.bit_length() > 1000
+        wr.dequeue()
+        wr.dequeue()
+        rng = random.Random(7)
+        for i in range(200):
+            wr.enqueue((i, "f", 1, 0.0, rng.expovariate(1 / 2e5)), 0.0)
+            assert wr.queued_units.bit_length() < 128
+            if i % 3 == 2:
+                wr.dequeue()
+                assert wr.queued_units.bit_length() < 128
+        assert wr.queued_ops.hex() == exact_queued_ops(wr).hex()
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_engine_matches_rescanning_backlog(self, policy, monkeypatch):
