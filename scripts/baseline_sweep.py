@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))  # run from a plain checkout, chainsim not installed
 
 from chainsim.config import load_json, sweep_from_raw
 from chainsim.runner import run_sweep

@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))  # run from a plain checkout, chainsim not installed
 
 from chainsim import engine
 from chainsim.config import load_json, scenario_from_raw

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import state as state_mod
 from .state import StateMode
-from .topology import RouteTable
+from .topology import Route, RouteTable
 from .workflow import FunctionSpec, stage_io
 
 if TYPE_CHECKING:
@@ -62,10 +62,11 @@ class DispatchContext:
     next candidate index per ``(app_id, function id)``.
 
     The context is the one cache of the candidates' routing facts, so no
-    decision hashes the candidate tuple: the hop classes from a payload node
-    or state host go in ``hop_memo``, grouped once per node per run, and the
-    state delays from a host in ``state_memo``, priced once per
-    ``(host, state size)`` from that host's ``hop_memo`` entry.
+    decision hashes the candidate tuple. ``hop_memo`` holds, per payload
+    node or state host, the candidates' routes from that node grouped by
+    equal hops, built once per node per run; ``state_memo`` holds the state
+    delays from a host, priced once per hop group and ``(host, state
+    size)``.
     """
 
     app_id: str
@@ -78,10 +79,8 @@ class DispatchContext:
     loads: Mapping[int, WorkerRuntime]
     policy: PolicyKind
     mode: StateMode
-    # derived once from the candidates: one row each, in candidate order, and
-    # their distinct core speeds with each row's index into them
+    # derived once from the candidates: one row each, in candidate order
     load_rows: tuple[LoadRow, ...] = field(init=False, repr=False, compare=False)
-    speed_classes: tuple[tuple[float, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
     cursors: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     hop_memo: dict[int, tuple] = field(init=False, repr=False, compare=False)
     state_memo: dict[tuple[int | None, float], tuple[float, ...]] = field(init=False, repr=False, compare=False)
@@ -91,29 +90,50 @@ class DispatchContext:
             raise ValueError("empty candidate list")
         rows = []
         for w in self.candidate_workers:
-            wr = self.loads[w]
+            wr = self.loads.get(w)
+            if wr is None:
+                raise ValueError(f"candidate {w} has no runtime in loads")
             rows.append((w, wr, wr.node.cores * wr.node.core_speed, wr.node.core_speed))
         self.load_rows = tuple(rows)
-        speeds = tuple(dict.fromkeys(row[3] for row in rows))
-        self.speed_classes = speeds, tuple(speeds.index(row[3]) for row in rows)
         self.cursors = {}
         self.hop_memo = {}
         self.state_memo = {}
 
 
-def _fill_hops(ctx: DispatchContext, node: int) -> tuple:
-    """Group the candidates' routes from ``node`` into ``ctx.hop_memo``; once per node per run."""
-    hops = ctx.hop_memo[node] = ctx.routes.hop_classes(node, ctx.candidate_workers)
+def _fill_hops(ctx: DispatchContext, node: int) -> tuple[tuple[Route, ...], tuple[int, ...]]:
+    """Group the candidates' routes from ``node`` by equal hops into ``ctx.hop_memo``; once per node per run.
+
+    Keeps one route per distinct hop sequence, in order of first appearance,
+    and each candidate's index into them. Routes with equal hops have
+    bit-equal delays for any size, so a caller prices each group once.
+    """
+    index: dict[tuple[tuple[float, float], ...], int] = {}
+    groups: list[Route] = []
+    group_of: list[int] = []
+    for w in ctx.candidate_workers:
+        route = ctx.routes.route(node, w)
+        if route.hops not in index:
+            index[route.hops] = len(groups)
+            groups.append(route)
+        group_of.append(index[route.hops])
+    hops = ctx.hop_memo[node] = tuple(groups), tuple(group_of)
     return hops
 
 
 def _fill_state(ctx: DispatchContext, host: int | None, f: FunctionSpec) -> tuple[float, ...]:
-    """Price the candidates' state delays from ``host`` into ``ctx.state_memo``; zeros while unplaced."""
+    """Price the candidates' state delays from ``host`` into ``ctx.state_memo``; zeros while unplaced.
+
+    Candidates whose routes from ``host`` have equal hops have equal reverse
+    hops too, so bit-equal delays for both legs: each hop group is priced
+    once, by ``remote_state_access`` at its first candidate.
+    """
     if host is None:
         delays = (0.0,) * len(ctx.candidate_workers)
     else:
-        hops = ctx.hop_memo.get(host) or _fill_hops(ctx, host)
-        delays = state_mod.state_delays(ctx.mode, host, f, hops, ctx.routes)
+        groups, group_of = ctx.hop_memo.get(host) or _fill_hops(ctx, host)
+        priced = [state_mod.remote_state_access(ctx.mode, host, f, route.path[-1], ctx.routes).delay
+                  for route in groups]
+        delays = tuple(priced[g] for g in group_of)
     ctx.state_memo[(host, f.state_size)] = delays
     return delays
 
@@ -138,28 +158,24 @@ def _least_estimate(ctx: DispatchContext, f: FunctionSpec, input_bytes: float) -
     transfer is priced once per distinct hop sequence from the payload's
     location. Each estimate adds its terms in the order
     ``xfer + state + backlog / (cores * speed) + ops / speed``, the backlog
-    summed as ``WorkerRuntime.backlog_ops`` sums it. ``ops / speed`` is
-    divided once per distinct speed: equal operands give a bit-equal
-    quotient. Ties go to the lowest worker id, as ``min`` over
-    ``(estimate, worker)`` pairs would pick.
+    summed as ``WorkerRuntime.backlog_ops`` sums it. Ties go to the lowest
+    worker id, as ``min`` over ``(estimate, worker)`` pairs would pick.
     """
     compute_ops, _ = stage_io(f, input_bytes)
     nbytes = state_mod.stage_transfer_bytes(input_bytes, None, f, ctx.mode)
     src, host = ctx.payload_location, ctx.state_host
     # each cached value is a non-empty tuple, so a hit is truthy
-    classes, class_of = ctx.hop_memo.get(src) or _fill_hops(ctx, src)
+    groups, group_of = ctx.hop_memo.get(src) or _fill_hops(ctx, src)
     state = ctx.state_memo.get((host, f.state_size)) or _fill_state(ctx, host, f)
-    speeds, speed_of = ctx.speed_classes
-    class_xfer = [route.delay(nbytes) for route in classes]
-    compute = [compute_ops / speed for speed in speeds]
+    group_xfer = [route.delay(nbytes) for route in groups]
     now = ctx.now
     best = best_w = None
-    for (w, wr, capacity, speed), c, state_delay, k in zip(ctx.load_rows, class_of, state, speed_of):
+    for (w, wr, capacity, speed), g, state_delay in zip(ctx.load_rows, group_of, state):
         pending = wr.queued_ops
         for until in wr.busy_until:
             if until > now:
                 pending += (until - now) * speed
-        est = class_xfer[c] + state_delay + pending / capacity + compute[k]
+        est = group_xfer[g] + state_delay + pending / capacity + compute_ops / speed
         if best_w is None or est < best or (est == best and w < best_w):
             best, best_w = est, w
     return best, best_w

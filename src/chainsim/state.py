@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .topology import Route, RouteTable, transfer_delay
+from .topology import RouteTable
 
 if TYPE_CHECKING:
     from .workflow import FunctionSpec
@@ -135,8 +135,9 @@ def _price_access(mode: StateMode, host: int, exec_node: int, size: float, rt: R
     delay = 0.0
     links: tuple[tuple[int, int], ...] = ()
     for src, dst in legs:
-        delay += transfer_delay(rt, src, dst, size)
-        links += rt.route(src, dst).links
+        route = rt.route(src, dst)
+        delay += route.delay(size)
+        links += route.links
     return StateAccess(
         delay=delay,
         bytes_moved=len(legs) * size,
@@ -144,22 +145,3 @@ def _price_access(mode: StateMode, host: int, exec_node: int, size: float, rt: R
         links=links,
     )
 
-
-def state_delays(
-    mode: StateMode,
-    host: int,
-    f: "FunctionSpec",
-    hops: tuple[tuple[Route, ...], tuple[int, ...]],
-    rt: RouteTable,
-) -> tuple[float, ...]:
-    """``remote_state_access(mode, host, f, w, rt).delay`` at each target ``w`` of ``hops``.
-
-    ``hops`` is ``rt.hop_classes(host, targets)``, so the state is placed.
-    Targets whose routes from ``host`` have equal hops have equal reverse
-    hops too, so bit-equal delays for both legs: each hop class is priced
-    once, at its first target. Nothing is memoized here; the caller keeps
-    the vector.
-    """
-    classes, class_of = hops
-    priced = [remote_state_access(mode, host, f, route.path[-1], rt).delay for route in classes]
-    return tuple(priced[c] for c in class_of)

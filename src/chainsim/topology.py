@@ -110,25 +110,6 @@ class RouteTable:
         self._routes = routes
         self.accesses: dict[tuple, object] = {}
 
-    def hop_classes(self, src: int, targets: tuple[int, ...]) -> tuple[tuple[Route, ...], tuple[int, ...]]:
-        """Routes from ``src`` to ``targets`` grouped by equal ``hops``.
-
-        Returns one route per distinct hop sequence, in order of first
-        appearance, and each target's index into them. Routes with equal
-        hops have bit-identical delays for any size, so a caller prices
-        each class once. Grouped anew on every call.
-        """
-        index: dict[tuple[tuple[float, float], ...], int] = {}
-        classes: list[Route] = []
-        class_of: list[int] = []
-        for dst in targets:
-            route = self.route(src, dst)
-            if route.hops not in index:
-                index[route.hops] = len(classes)
-                classes.append(route)
-            class_of.append(index[route.hops])
-        return tuple(classes), tuple(class_of)
-
     def route(self, src: int, dst: int) -> Route:
         try:
             return self._routes[(src, dst)]

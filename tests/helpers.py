@@ -232,6 +232,34 @@ def loaded_runtimes(workers, backlog) -> dict:
     return loads
 
 
+def candidate_context(topo, rt, targets, mode=None):
+    """A ``min_latency_estimate`` context whose candidates are ``targets``, in order.
+
+    Each target gets an idle ``WorkerRuntime`` of its ``NodeSpec``, a client
+    or broker too, so dispatch's route and state tables can be filled from
+    any node toward any others.
+    """
+    import numpy as np
+
+    from chainsim.dispatch import DispatchContext, PolicyKind
+    from chainsim.engine import WorkerRuntime
+    from chainsim.state import StateMode
+
+    specs = {n.id: n for n in topo.nodes}
+    return DispatchContext(
+        app_id="app",
+        candidate_workers=tuple(targets),
+        now=0.0,
+        state_host=None,
+        routes=rt,
+        payload_location=targets[0],
+        rng=np.random.default_rng(0),
+        loads={w: WorkerRuntime(specs[w]) for w in targets},
+        policy=PolicyKind.MIN_LATENCY_ESTIMATE,
+        mode=StateMode.EMBEDDED if mode is None else mode,
+    )
+
+
 def reference_estimate(ctx, f, w, input_bytes) -> float:
     """``min_latency_estimate``'s score of worker ``w``, term by term from first principles.
 

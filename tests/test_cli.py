@@ -641,8 +641,8 @@ class TestSweep:
         assert not (tmp_path / "out").exists()
 
     def test_baseline_sweep_script(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        # no PYTHONPATH: the script finds chainsim in a plain checkout by itself
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         out = tmp_path / "out"
         proc = subprocess.run(
             [sys.executable, str(REPO / "scripts" / "baseline_sweep.py"), "--replications", "1", "--out", str(out)],

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,6 +120,12 @@ class TestChooseWorker:
         with pytest.raises(ValueError, match="empty candidate list"):
             make_ctx(t, rt, candidates=(), policy=PolicyKind.RANDOM)
 
+    def test_candidate_without_runtime_rejected(self):
+        t, rt = star_network(2)
+        ctx = make_ctx(t, rt, policy=PolicyKind.RANDOM)
+        with pytest.raises(ValueError, match="candidate 7 has no runtime in loads"):
+            replace(ctx, candidate_workers=(1, 7), loads={1: ctx.loads[1]})
+
     def test_least_loaded_breaks_ties_by_id(self):
         t, rt = star_network(3)
         for candidates in ((1, 2, 3), (3, 2, 1)):
@@ -210,8 +217,8 @@ class TestOnePassChoice:
 
     def test_repeated_decision_reads_no_route_table_memo(self, monkeypatch):
         # The candidates are fixed per run, so the context keeps their hop
-        # classes and state delays: a decision at a seen payload node, state
-        # host and state size groups no route and prices no state access.
+        # groups and state delays: a decision at a seen payload node, state
+        # host and state size looks up no route and prices no state access.
         t, rt = star_network(n_workers=4)
         reg = StateRegistry()
         reg.seed("app", "f", host=2)
@@ -226,8 +233,7 @@ class TestOnePassChoice:
         def fail(*args):
             raise AssertionError("route grouped or state priced at a repeated decision")
 
-        monkeypatch.setattr(type(rt), "hop_classes", fail)
-        monkeypatch.setattr(state_mod, "state_delays", fail)
+        monkeypatch.setattr(type(rt), "route", fail)
         monkeypatch.setattr(state_mod, "remote_state_access", fail)
         monkeypatch.setattr(state_mod, "_price_access", fail)
         assert choose_worker(ctx, f, 100.0) == first

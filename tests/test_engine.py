@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainsim import engine, metrics
+from chainsim import dispatch, engine, metrics
 from chainsim.config import load_json, scenario_from_raw
 from chainsim.dispatch import PolicyKind, _least_backlog, estimate_completion
 from chainsim.state import StateMode, StateRegistry, remote_state_access, stage_transfer_bytes
-from chainsim.topology import NodeSpec, RouteTable
+from chainsim.topology import NodeSpec
 from chainsim.workflow import critical_path_time
 
 from helpers import (
@@ -622,11 +622,11 @@ class TestMinLatencyAgainstReference:
         raw["policy"], raw["state_mode"] = "min_latency_estimate", mode
         sc = build(raw)
         grouped = []
-        hop_classes = RouteTable.hop_classes
+        fill_hops = dispatch._fill_hops
 
-        def counting_hop_classes(rt, src, targets):
-            grouped.append(src)
-            return hop_classes(rt, src, targets)
+        def counting_fill_hops(ctx, node):
+            grouped.append(node)
+            return fill_hops(ctx, node)
 
         payload_nodes, host_sizes = set(), set()
         choose = engine.choose_worker
@@ -637,7 +637,7 @@ class TestMinLatencyAgainstReference:
                 host_sizes.add((ctx.state_host, f.state_size))
             return choose(ctx, f, input_bytes)
 
-        monkeypatch.setattr(RouteTable, "hop_classes", counting_hop_classes)
+        monkeypatch.setattr(dispatch, "_fill_hops", counting_fill_hops)
         monkeypatch.setattr(engine, "choose_worker", spy)
         engine.run(sc)
         hosts = {host for host, _ in host_sizes}

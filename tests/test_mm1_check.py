@@ -12,8 +12,8 @@ SCRIPT = REPO / "scripts" / "mm1_check.py"
 
 
 def run_script(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    # no PYTHONPATH: the script finds chainsim in a plain checkout by itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True, text=True,
                           env=env, timeout=120, check=False)
 

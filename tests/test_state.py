@@ -4,18 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainsim.dispatch import _fill_hops, _fill_state
 from chainsim.state import (
     StateAccess,
     StateMode,
     StateRegistry,
     remote_state_access,
     stage_transfer_bytes,
-    state_delays,
 )
 from chainsim.topology import Route, build_routes, transfer_delay
 from chainsim.workflow import FunctionSpec
 
-from helpers import make_topology
+from helpers import candidate_context, make_topology
 
 
 @pytest.fixture
@@ -267,7 +267,7 @@ class TestMemoizedStateAccess:
             for mode in StateMode:
                 for host in workers:
                     for targets in (workers, subset):
-                        got = state_delays(mode, host, f, rt.hop_classes(host, targets), rt)
+                        got = _fill_state(candidate_context(topo, rt, targets, mode), host, f)
                         want = [remote_state_access(mode, host, f, w, rt).delay for w in targets]
                         assert [d.hex() for d in got] == [d.hex() for d in want]
                         assert want == [reference_access(mode, host, f, w, rt).delay for w in targets]
@@ -287,11 +287,11 @@ class TestMemoizedStateAccess:
             for mode in (StateMode.REMOTE_FIXED, StateMode.REMOTE_MIGRATE):
                 for host in workers:
                     rt = build_routes(topo)
-                    hops = rt.hop_classes(host, workers)
-                    classes, _ = hops
+                    ctx = candidate_context(topo, rt, workers, mode)
+                    classes, _ = _fill_hops(ctx, host)
                     legs = 2 if mode is StateMode.REMOTE_FIXED else 1
                     calls.clear()
-                    state_delays(mode, host, stateful(), hops, rt)
+                    _fill_state(ctx, host, stateful())
                     assert len(calls) == legs * sum(route.path[-1] != host for route in classes)
                     shared += len(classes) < len(workers)
         assert shared > 0  # some fills price fewer classes than targets

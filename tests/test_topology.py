@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsim.config import load_json, scenario_from_raw
+from chainsim.dispatch import _fill_hops
 from chainsim.topology import (
     MAX_CORES,
     LinkSpec,
@@ -18,7 +19,7 @@ from chainsim.topology import (
     validate_topology,
 )
 
-from helpers import brute_force_routes, make_topology, random_topology
+from helpers import brute_force_routes, candidate_context, make_topology, random_topology
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -235,11 +236,11 @@ class TestHopClasses:
         # edge_mesh: workers 4..15 behind brokers 1..3, edge rates alternating 12.5 and 2.5 MB/s
         sc, errs = scenario_from_raw(load_json(CONFIGS / "edge_mesh.json"))
         assert not errs
-        workers = tuple(range(4, 16))
-        _, from_client = sc.routes.hop_classes(0, workers)
+        ctx = candidate_context(sc.topology, sc.routes, tuple(range(4, 16)))
+        _, from_client = _fill_hops(ctx, 0)
         assert from_client == (0, 1) * 6
         # from worker 4: itself, fast and slow peers at broker 1, fast and slow workers elsewhere
-        _, from_worker = sc.routes.hop_classes(4, workers)
+        _, from_worker = _fill_hops(ctx, 4)
         assert from_worker == (0, 1, 2, 1) + (3, 4) * 4
 
     @settings(max_examples=60)
@@ -248,8 +249,9 @@ class TestHopClasses:
         rt = build_routes(t)
         ids = [n.id for n in t.nodes]
         targets = tuple(random.Random(len(ids)).sample(ids, len(ids)))
+        ctx = candidate_context(t, rt, targets)
         for src in ids:
-            classes, class_of = rt.hop_classes(src, targets)
+            classes, class_of = _fill_hops(ctx, src)
             assert len({r.hops for r in classes}) == len(classes)
             assert list(dict.fromkeys(class_of)) == list(range(len(classes)))  # first-appearance order
             for dst, c in zip(targets, class_of):
