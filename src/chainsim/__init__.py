@@ -5,12 +5,7 @@ from .config import PayloadSpec, Scenario, scenario_from_raw
 from .dispatch import DispatchContext, PolicyKind, choose_worker, estimate_completion
 from .engine import EngineError, MetricsLog, run
 from .metrics import percentile
-from .state import (
-    StateAccess,
-    StateMode,
-    StateRegistry,
-    remote_state_access,
-)
+from .state import StateAccess, StateMode, remote_state_access
 from .topology import (
     LinkSpec,
     NodeSpec,
@@ -45,7 +40,6 @@ __all__ = [
     "Scenario",
     "StateAccess",
     "StateMode",
-    "StateRegistry",
     "Topology",
     "build_routes",
     "choose_worker",

@@ -99,9 +99,12 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         if src == dst:
             continue
         route = scenario.routes.route(src, dst)
+        prop = 0.0
+        for link_prop, _rate in route.hops:
+            prop += link_prop
         print(
-            f"  {src} -> {dst}: path={list(route.path)} prop={route.propagation!r}"
-            f" bottleneck={route.bottleneck_rate!r} hops={len(route.hops)}"
+            f"  {src} -> {dst}: path={list(route.path)} prop={prop!r}"
+            f" bottleneck={min(rate for _prop, rate in route.hops)!r} hops={len(route.hops)}"
         )
     print("workflows:")
     for app_id in sorted(scenario.apps):

@@ -1,8 +1,8 @@
 """Per-stage destination selection: completion-time estimator and policies.
 
-All policies are pure given the context, its round-robin cursors and its
-rng stream; the engine serializes calls within a run. Every tie breaks
-toward the lowest worker id so runs replay identically.
+All policies are pure given their arguments, the context's round-robin
+cursors and its rng stream; the engine serializes calls within a run.
+Every tie breaks toward the lowest worker id so runs replay identically.
 """
 
 from __future__ import annotations
@@ -41,40 +41,31 @@ LoadRow = tuple[int, "WorkerRuntime", float, float]
 
 @dataclass
 class DispatchContext:
-    """Dispatcher-local knowledge at one decision instant.
+    """The run's dispatch tables; a decision's time, payload node and state host are arguments.
 
-    ``loads`` maps worker ids to their live ``WorkerRuntime``s. The policies
-    that weigh load (``least_loaded``, ``state_local`` when the state host
-    is not a candidate, and ``min_latency_estimate``) compute each
-    candidate's backlog at ``now`` inside their one pass over ``load_rows``:
+    ``policy``, ``mode``, ``candidate_workers``, ``routes``, ``rng`` and
+    ``loads`` are fixed once the context is built. ``loads`` maps worker ids
+    to their live ``WorkerRuntime``s, each candidate must be one of its
+    keys, and a runtime's ``node`` is its worker's spec. The policies that
+    weigh load (``least_loaded``, ``state_local`` when the state host is
+    not a candidate, and ``min_latency_estimate``) compute each candidate's
+    backlog at the decision time inside their one pass over ``load_rows``:
     the runtime's ``queued_ops``, then ``(until - now) * core_speed`` for
     each busy core in core order, the sum ``WorkerRuntime.backlog_ops``
-    returns. ``state_host`` is where the engine's registry holds the
-    function's state, or None in embedded mode, for a stateless function
-    and while unplaced. The rng stream is private.
-
-    The engine builds one context per run and mutates it between decisions
-    (``app_id``, ``now``, ``state_host`` and ``payload_location``), so a
-    policy must not keep the context past the call. ``policy``, ``mode``,
-    ``candidate_workers``, ``routes``, ``rng`` and ``loads`` are fixed once
-    the context is built, and each candidate must be a key of ``loads``; a
-    runtime's ``node`` is its worker's spec. ``cursors`` holds round robin's
-    next candidate index per ``(app_id, function id)``.
+    returns. The rng stream is private. ``cursors`` holds round robin's next
+    candidate index per stage key ``(app_id, function id)``.
 
     The context is the one cache of the candidates' routing facts, so no
     decision hashes the candidate tuple. ``hop_memo`` holds, per payload
     node or state host, the candidates' routes from that node grouped by
     equal hops, built once per node per run; ``state_memo`` holds the state
     delays from a host, priced once per hop group and ``(host, state
-    size)``.
+    size)``. The runtimes change as the run goes on, so a policy must not
+    keep the context or its rows past the call.
     """
 
-    app_id: str
     candidate_workers: tuple[int, ...]
-    now: float
-    state_host: int | None
     routes: RouteTable
-    payload_location: int
     rng: np.random.Generator
     loads: Mapping[int, WorkerRuntime]
     policy: PolicyKind
@@ -138,37 +129,40 @@ def _fill_state(ctx: DispatchContext, host: int | None, f: FunctionSpec) -> tupl
     return delays
 
 
-def estimate_completion(ctx: DispatchContext, f: FunctionSpec, w: int, input_bytes: float) -> float:
-    """Predicted completion time of this stage on worker ``w``.
+def estimate_completion(
+    ctx: DispatchContext, f: FunctionSpec, w: int, input_bytes: float, now: float, payload_node: int, host: int | None
+) -> float:
+    """Predicted completion time at ``now`` of this stage on worker ``w``.
 
-    Input transfer (with embedded state overhead) + state access from
-    ``ctx.state_host`` (no migration applied; the estimate is a prediction,
-    not a commitment) + backlog drain + stage compute. In-flight network
-    transfers toward ``w`` are not visible to the dispatcher and are ignored.
-    Scored by ``min_latency_estimate``'s own pass on a one-candidate copy of
-    ``ctx``, so the caller's caches and cursors are left as they were.
+    Input transfer from ``payload_node`` (with embedded state overhead) +
+    state access from ``host`` (None: unplaced or not remote; no migration
+    applied, the estimate is a prediction, not a commitment) + backlog drain
+    + stage compute. In-flight network transfers toward ``w`` are not
+    visible to the dispatcher and are ignored. Scored by
+    ``min_latency_estimate``'s own pass on a one-candidate copy of ``ctx``,
+    so the caller's caches and cursors are left as they were.
     """
-    return _least_estimate(replace(ctx, candidate_workers=(w,)), f, input_bytes)[0]
+    return _least_estimate(replace(ctx, candidate_workers=(w,)), f, input_bytes, now, payload_node, host)[0]
 
 
-def _least_estimate(ctx: DispatchContext, f: FunctionSpec, input_bytes: float) -> tuple[float, int]:
+def _least_estimate(
+    ctx: DispatchContext, f: FunctionSpec, input_bytes: float, now: float, payload_node: int, host: int | None
+) -> tuple[float, int]:
     """The least ``estimate_completion`` over the candidates and its worker, in one pass.
 
-    The wire size, compute demand and state host are found once; the input
-    transfer is priced once per distinct hop sequence from the payload's
-    location. Each estimate adds its terms in the order
+    The wire size and compute demand are found once; the input transfer is
+    priced once per distinct hop sequence from ``payload_node``. Each
+    estimate adds its terms in the order
     ``xfer + state + backlog / (cores * speed) + ops / speed``, the backlog
     summed as ``WorkerRuntime.backlog_ops`` sums it. Ties go to the lowest
     worker id, as ``min`` over ``(estimate, worker)`` pairs would pick.
     """
     compute_ops, _ = stage_io(f, input_bytes)
     nbytes = state_mod.stage_transfer_bytes(input_bytes, None, f, ctx.mode)
-    src, host = ctx.payload_location, ctx.state_host
     # each cached value is a non-empty tuple, so a hit is truthy
-    groups, group_of = ctx.hop_memo.get(src) or _fill_hops(ctx, src)
+    groups, group_of = ctx.hop_memo.get(payload_node) or _fill_hops(ctx, payload_node)
     state = ctx.state_memo.get((host, f.state_size)) or _fill_state(ctx, host, f)
     group_xfer = [route.delay(nbytes) for route in groups]
-    now = ctx.now
     best = best_w = None
     for (w, wr, capacity, speed), g, state_delay in zip(ctx.load_rows, group_of, state):
         pending = wr.queued_ops
@@ -194,8 +188,23 @@ def _least_backlog(now: float, rows: tuple[LoadRow, ...]) -> tuple[float, int]:
     return best, best_w
 
 
-def choose_worker(ctx: DispatchContext, f: FunctionSpec, input_bytes: float) -> int:
-    """Select the execution worker for one stage by ``ctx.policy``. Ties go to the lowest id."""
+def choose_worker(
+    ctx: DispatchContext,
+    f: FunctionSpec,
+    key: tuple[str, str],
+    input_bytes: float,
+    now: float,
+    payload_node: int,
+    host: int | None,
+) -> int:
+    """Select the execution worker at ``now`` for one stage by ``ctx.policy``. Ties go to the lowest id.
+
+    ``key`` is the stage's ``(app_id, function id)``, which keys round
+    robin's cursor. The stage's input waits at ``payload_node``, and
+    ``host`` is the worker that holds its function's state: None in
+    embedded mode, for a stateless function and while the state is
+    unplaced.
+    """
     policy = ctx.policy
     candidates = ctx.candidate_workers
 
@@ -203,20 +212,19 @@ def choose_worker(ctx: DispatchContext, f: FunctionSpec, input_bytes: float) -> 
         return candidates[int(ctx.rng.integers(0, len(candidates)))]
 
     if policy is _ROUND_ROBIN:
-        key = (ctx.app_id, f.id)
         cur = ctx.cursors.get(key, 0)
         ctx.cursors[key] = (cur + 1) % len(candidates)
         return candidates[cur]
 
     if policy is _LEAST_LOADED:
-        return _least_backlog(ctx.now, ctx.load_rows)[1]
+        return _least_backlog(now, ctx.load_rows)[1]
 
     if policy is _STATE_LOCAL:
-        if ctx.state_host in candidates:
-            return ctx.state_host
-        return _least_backlog(ctx.now, ctx.load_rows)[1]
+        if host in candidates:
+            return host
+        return _least_backlog(now, ctx.load_rows)[1]
 
     if policy is _MIN_LATENCY_ESTIMATE:
-        return _least_estimate(ctx, f, input_bytes)[1]
+        return _least_estimate(ctx, f, input_bytes, now, payload_node, host)[1]
 
     raise ValueError(f"unknown policy {policy}")

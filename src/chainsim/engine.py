@@ -26,12 +26,12 @@ from . import state as state_mod
 from . import workload as wl
 from .config import Scenario
 from .dispatch import DispatchContext, choose_worker
-from .state import StateMode, StateRegistry, remote_state_access, stage_transfer_bytes
+from .state import StateMode, remote_state_access, stage_transfer_bytes
 from .topology import NodeSpec
 from .workflow import FunctionSpec, _kahn, stage_io, vertex_input_bytes
 
 # Event kinds; each event's data is what its handler reads.
-ARRIVAL = 0  # (inv_id,)
+ARRIVAL = 0  # InvocationRecord
 STAGE_READY = 1  # (InvocationRecord, _StagePlan, node the stage's payload waits at)
 EXEC_START = 2  # Job
 EXEC_DONE = 3  # Job
@@ -107,6 +107,7 @@ class _StagePlan(NamedTuple):
     """
 
     f: FunctionSpec
+    key: tuple[str, str]  # (app_id, function id): keys the state host and round robin's cursor
     preds: tuple[str, ...]
     succs: tuple[_StagePlan, ...] | None  # None for the sink
     stateful: bool  # remote mode and state_size > 0
@@ -133,6 +134,7 @@ def _entries(scenario: Scenario) -> dict[str, tuple[_StagePlan, int]]:
             preds = dag.preds[fid]
             plans[fid] = _StagePlan(
                 f=f,
+                key=(app_id, fid),
                 preds=preds,
                 succs=tuple(plans[q] for q in dag.succs[fid]) if fid != dag.sink else None,
                 stateful=mode is not StateMode.EMBEDDED and f.state_size > 0,
@@ -225,18 +227,12 @@ class _Run:
         self.routes = scenario.routes
         self.entries = _entries(scenario)
         self.workers = {n.id: WorkerRuntime(n) for n in scenario.topology.workers()}
-        self.registry = StateRegistry()
-        # One context serves every decision of the run and holds its policy,
-        # state mode and round-robin cursors: each dispatch sets the app,
-        # time, state host and payload node; policies read worker load from
-        # the live runtimes.
+        self.hosts: dict[tuple[str, str], int] = {}  # each placed state item's worker, by stage key
+        # One context serves every decision of the run and holds its tables;
+        # each decision passes its time, payload node and state host.
         self.ctx = DispatchContext(
-            app_id="",
             candidate_workers=scenario.candidates,
-            now=0.0,
-            state_host=None,
             routes=self.routes,
-            payload_location=-1,
             rng=wl.substream(seed, wl.STREAM_POLICY),
             loads=self.workers,
             policy=scenario.policy,
@@ -290,7 +286,8 @@ class _Run:
     def _push_arrival(self, inv_id: int) -> None:
         """Put arrival ``inv_id``, if there is one, on the heap with ``seq = inv_id``."""
         if inv_id < len(self.invocations):
-            heapq.heappush(self.heap, (self.invocations[inv_id].arrival, inv_id, ARRIVAL, (inv_id,)))
+            inv = self.invocations[inv_id]
+            heapq.heappush(self.heap, (inv.arrival, inv_id, ARRIVAL, inv))
 
     # -- transfers ---------------------------------------------------------
 
@@ -318,12 +315,10 @@ class _Run:
 
     # -- handlers ------------------------------------------------------------
 
-    def _on_arrival(self, now: float, data: tuple) -> None:
-        (inv_id,) = data
-        inv = self.invocations[inv_id]
+    def _on_arrival(self, now: float, inv: InvocationRecord) -> None:
         source, client = self.entries[inv.app]
         heapq.heappush(self.heap, (now, next(self.seq), STAGE_READY, (inv, source, client)))
-        self._push_arrival(inv_id + 1)
+        self._push_arrival(inv.inv_id + 1)
 
     def _on_stage_ready(self, now: float, data: tuple) -> None:
         inv, plan, at_node = data
@@ -332,17 +327,14 @@ class _Run:
         outputs = inv.outputs
         input_bytes = vertex_input_bytes(plan.preds, outputs, inv.payload)
 
-        # State is resolved at dispatch time from one registry read, which the
+        # State is resolved at dispatch time from one host read, which the
         # policy sees too: first touch seeds the host at the chosen worker for
         # free, later touches pay the mode's cost and a migration moves the
         # host to the executor at once.
-        host = self.registry.get(inv.app, fid) if plan.stateful else None
+        key = plan.key
+        host = self.hosts.get(key) if plan.stateful else None
         ctx = self.ctx
-        ctx.app_id = inv.app
-        ctx.now = now
-        ctx.state_host = host
-        ctx.payload_location = at_node
-        w = choose_worker(ctx, f, input_bytes)
+        w = choose_worker(ctx, f, key, input_bytes, now, at_node, host)
 
         access = state_mod.ZERO_ACCESS
         charged = 0.0
@@ -350,13 +342,13 @@ class _Run:
             access = remote_state_access(ctx.mode, host, f, w, self.routes)
             size = f.state_size
             link_bytes = self.link_bytes
-            for key in access.links:
-                link_bytes[key] += size
+            for link in access.links:
+                link_bytes[link] += size
                 charged += size
             if access.migration:
-                self.registry.move(inv.app, fid, w)
+                self.hosts[key] = w
         elif plan.stateful:
-            self.registry.seed(inv.app, fid, w)
+            self.hosts[key] = w
         rec = StageRecord(w, now, access.delay, access.bytes_moved, access.migration, charged)
         inv.stages[fid] = rec
 

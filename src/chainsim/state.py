@@ -7,16 +7,17 @@ Three scenario-wide modes:
 * ``remote_fixed``: state lives at a fixed host worker; every execution at a
   different node pays a fetch plus a write-back (read-modify-write state).
 * ``remote_migrate``: state moves to the executing worker and stays there,
-  paying a single transfer and changing the registry host.
+  paying a single transfer and moving the state's host.
 
-The registry starts empty; the first dispatch of a stateful function seeds
+Each run keeps the host of each ``(app, function id)`` state item in a plain
+dict, which starts empty; the first dispatch of a stateful function seeds
 its host at the chosen worker at zero cost (cold-start placement).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .topology import RouteTable
@@ -34,34 +35,6 @@ class StateMode(enum.Enum):
 
 
 _EMBEDDED = StateMode.EMBEDDED  # read per access; a ``StateMode.X`` read is an ``EnumType.__getattr__`` call
-
-
-@dataclass
-class StateRegistry:
-    """The worker node id that holds each (app, function) state item.
-
-    Mutable, owned exclusively by one simulation run; never shared across
-    replications. State sizes live on the ``FunctionSpec``.
-    """
-
-    _hosts: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    def get(self, app_id: str, function_id: str) -> int | None:
-        return self._hosts.get((app_id, function_id))
-
-    def seed(self, app_id: str, function_id: str, host: int) -> None:
-        """Place the state for a first dispatch; no-op cost, errors on re-seed."""
-        key = (app_id, function_id)
-        if key in self._hosts:
-            raise ValueError(f"state for {key} already placed")
-        self._hosts[key] = host
-
-    def move(self, app_id: str, function_id: str, host: int) -> None:
-        """Record a migration: the placed state now lives at ``host``."""
-        key = (app_id, function_id)
-        if key not in self._hosts:
-            raise KeyError(f"state for {key} was never placed")
-        self._hosts[key] = host
 
 
 @dataclass(frozen=True)
@@ -113,7 +86,7 @@ def remote_state_access(
     (the first dispatch places it at the executor) and for co-located
     execution. Otherwise remote_fixed pays fetch plus write-back against the
     host and remote_migrate pays a single transfer to the executor. Pure:
-    the caller records a migration with ``StateRegistry.move``. Routes are
+    the caller records a migration by moving the host. Routes are
     static, so each priced access is kept in ``rt.accesses`` per
     ``(mode, host, exec_node, state_size)`` and the frozen result is shared.
     """

@@ -16,7 +16,6 @@ hop, so a transfer of ``n`` bytes over a route costs
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 
 ROLE_CLIENT = "client"
@@ -87,8 +86,6 @@ class Route:
     path: tuple[int, ...]  # src first, dst last; (src,) when src == dst
     hops: tuple[tuple[float, float], ...]  # (propagation s, rate B/s) per hop
     links: tuple[tuple[int, int], ...]  # LinkSpec.pair per hop
-    propagation: float
-    bottleneck_rate: float  # +inf for the empty route
 
     def delay(self, nbytes: float) -> float:
         acc = 0.0
@@ -195,8 +192,7 @@ def build_routes(t: Topology) -> RouteTable:
     Each unordered pair is routed once, from its lower id: the path
     minimizes total propagation, and ties break on fewer hops, then on the
     lexicographically smallest node-id sequence. The other direction takes
-    the reversed path. Propagation and bottleneck rate accumulate over the
-    hops in path order. Raises ValueError on an invalid topology.
+    the reversed path. Raises ValueError on an invalid topology.
     """
     if t.violations:
         raise ValueError("invalid topology: " + "; ".join(t.violations))
@@ -211,12 +207,7 @@ def build_routes(t: Topology) -> RouteTable:
                 continue
             for p in (path, path[::-1]):
                 links = tuple((u, v) if u <= v else (v, u) for u, v in zip(p, p[1:]))
-                hops = tuple(link_params[key] for key in links)
-                prop = 0.0
-                for link_prop, _rate in hops:
-                    prop += link_prop
-                rate = min((h[1] for h in hops), default=math.inf)
-                routes[(p[0], p[-1])] = Route(p, hops, links, prop, rate)
+                routes[(p[0], p[-1])] = Route(p, tuple(link_params[key] for key in links), links)
     return RouteTable(routes)
 
 

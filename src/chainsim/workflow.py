@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from . import state as state_mod
-from .state import StateMode, StateRegistry
+from .state import StateMode
 from .topology import NodeSpec, RouteTable, transfer_delay
 
 
@@ -183,7 +183,7 @@ def critical_path_time(
     d: DagSpec,
     a: Assignment,
     rt: RouteTable,
-    registry: StateRegistry | None,
+    hosts: Mapping[tuple[str, str], int] | None,
     mode: StateMode,
     *,
     functions: Mapping[str, FunctionSpec],
@@ -196,8 +196,11 @@ def critical_path_time(
     A vertex is dispatched when its last predecessor finishes; every input
     then moves to its worker in parallel, so a join's inputs have arrived at
     ``max(done_p) + max(xfer_p)``. State costs are paid at dispatch and the
-    vertex computes without queueing. Longest-path dynamic programming in
-    topological order; ties in the max leave the result unchanged.
+    vertex computes without queueing. ``hosts`` maps ``(app_id, function
+    id)`` to the worker holding that state; state missing from it, or from
+    a ``None`` map, is unplaced and costs nothing. Longest-path dynamic
+    programming in topological order; ties in the max leave the result
+    unchanged.
     """
     violations = validate_dag(d)
     if violations:
@@ -209,8 +212,7 @@ def critical_path_time(
             raise ValueError(f"assignment maps {v} to non-worker node {a[v]}")
 
     entry = d.entry_payload if entry_payload is None else entry_payload
-    reg = registry if registry is not None else StateRegistry()
-
+    hosts = {} if hosts is None else hosts
     done: dict[str, float] = {}
     outputs: dict[str, float] = {}
     preds = d.preds
@@ -225,7 +227,7 @@ def critical_path_time(
                 transfer_delay(rt, a[p], w, state_mod.stage_transfer_bytes(outputs[p], functions[p], f, mode))
                 for p in preds[v]
             )
-        access = state_mod.remote_state_access(mode, reg.get(d.app_id, v), f, w, rt)
+        access = state_mod.remote_state_access(mode, hosts.get((d.app_id, v)), f, w, rt)
         t = arrived + access.delay
         compute_ops, out_bytes = stage_io(f, input_bytes)
         t += compute_ops / workers[w].core_speed

@@ -13,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 
-from chainsim.state import StateRegistry, remote_state_access
+from chainsim.state import remote_state_access
 from chainsim.topology import LinkSpec, NodeSpec, Topology
 from chainsim.workflow import DagSpec
 
@@ -104,6 +104,14 @@ def brute_force_routes(t: Topology) -> dict[tuple[int, int], tuple[float, tuple[
     return routes
 
 
+def route_propagation(route) -> float:
+    """A route's total propagation: its hops' delays summed from 0.0 in path order."""
+    prop = 0.0
+    for link_prop, _rate in route.hops:
+        prop += link_prop
+    return prop
+
+
 # -- DAGs ---------------------------------------------------------------------
 
 
@@ -126,7 +134,7 @@ def random_dag(rng: random.Random, max_vertices: int = 10, app_id: str = "app") 
 
 
 def enumerate_critical_path(
-    dag, assignment, routes, registry, mode, *, functions, workers, client, entry_payload=None
+    dag, assignment, routes, hosts, mode, *, functions, workers, client, entry_payload=None
 ):
     """Exhaustive source-to-sink path enumeration of the zero-load latency.
 
@@ -146,7 +154,7 @@ def enumerate_critical_path(
 
     entry = dag.entry_payload if entry_payload is None else entry_payload
     preds, succs = dag.preds, dag.succs
-    reg = registry if registry is not None else StateRegistry()
+    hosts = hosts or {}
 
     outputs: dict[str, float] = {}
     vertex_cost: dict[str, tuple[float, float]] = {}  # (state delay, compute s)
@@ -156,7 +164,7 @@ def enumerate_critical_path(
         input_bytes = vertex_input_bytes(preds[v], outputs, entry)
         compute_ops, out_bytes = stage_io(f, input_bytes)
         outputs[v] = out_bytes
-        access = remote_state_access(mode, reg.get(dag.app_id, v), f, assignment[v], routes)
+        access = remote_state_access(mode, hosts.get((dag.app_id, v)), f, assignment[v], routes)
         vertex_cost[v] = (access.delay, compute_ops / workers[assignment[v]].core_speed)
         if preds[v]:
             inbound[v] = max(
@@ -247,12 +255,8 @@ def candidate_context(topo, rt, targets, mode=None):
 
     specs = {n.id: n for n in topo.nodes}
     return DispatchContext(
-        app_id="app",
         candidate_workers=tuple(targets),
-        now=0.0,
-        state_host=None,
         routes=rt,
-        payload_location=targets[0],
         rng=np.random.default_rng(0),
         loads={w: WorkerRuntime(specs[w]) for w in targets},
         policy=PolicyKind.MIN_LATENCY_ESTIMATE,
@@ -260,8 +264,8 @@ def candidate_context(topo, rt, targets, mode=None):
     )
 
 
-def reference_estimate(ctx, f, w, input_bytes) -> float:
-    """``min_latency_estimate``'s score of worker ``w``, term by term from first principles.
+def reference_estimate(ctx, f, w, input_bytes, now, payload_node, host) -> float:
+    """``min_latency_estimate``'s score of worker ``w`` at ``now``, term by term from first principles.
 
     One ``transfer_delay`` and one ``remote_state_access`` per worker, with
     the terms added in the library's stated order.
@@ -273,17 +277,18 @@ def reference_estimate(ctx, f, w, input_bytes) -> float:
     spec = ctx.loads[w].node
     mode = ctx.mode
     wire = stage_transfer_bytes(input_bytes, None, f, mode)
-    est = transfer_delay(ctx.routes, ctx.payload_location, w, wire)
-    est += remote_state_access(mode, ctx.state_host, f, w, ctx.routes).delay
+    est = transfer_delay(ctx.routes, payload_node, w, wire)
+    est += remote_state_access(mode, host, f, w, ctx.routes).delay
     compute_ops, _ = stage_io(f, input_bytes)
-    est += rescan_backlog(ctx.loads[w], ctx.now) / (spec.cores * spec.core_speed)
+    est += rescan_backlog(ctx.loads[w], now) / (spec.cores * spec.core_speed)
     est += compute_ops / spec.core_speed
     return est
 
 
-def reference_choice(ctx, f, input_bytes) -> int:
+def reference_choice(ctx, f, input_bytes, now, payload_node, host) -> int:
     """The candidate with the least reference estimate; ties go to the lowest id."""
-    return min((reference_estimate(ctx, f, w, input_bytes), w) for w in ctx.candidate_workers)[1]
+    return min((reference_estimate(ctx, f, w, input_bytes, now, payload_node, host), w)
+               for w in ctx.candidate_workers)[1]
 
 
 # -- outputs ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from chainsim.dispatch import (
     choose_worker,
     estimate_completion,
 )
-from chainsim.state import StateMode, StateRegistry
+from chainsim.state import StateMode
 from chainsim.topology import LinkSpec, NodeSpec, Topology, build_routes
 from chainsim.workflow import FunctionSpec, critical_path_time
 
@@ -35,6 +35,7 @@ from helpers import (
     random_chain_scenario_raw,
     random_dag,
     random_topology,
+    route_propagation,
     summary_from_rows,
 )
 
@@ -73,7 +74,7 @@ def test_criterion_01_zero_load_oracle():
             app.dag,
             assignment,
             sc.routes,
-            StateRegistry(),
+            None,
             sc.state_mode,
             functions=app.functions,
             workers={n.id: n for n in sc.topology.workers()},
@@ -119,13 +120,13 @@ def test_criterion_02_dag_critical_path_vs_brute_force():
         }
         a = {v: rng.choice([1, 2, 3]) for v in d.vertices}
         mode = StateMode(rng.choice(ALL_MODES))
-        reg = StateRegistry()
+        hosts = {}
         for v in sorted(d.vertices):
             if fns[v].state_size > 0 and rng.random() < 0.6:
-                reg.seed("app", v, host=rng.choice([1, 2, 3]))
-        got = critical_path_time(d, a, rt, reg, mode, functions=fns, workers=workers, client=0)
+                hosts["app", v] = rng.choice([1, 2, 3])
+        got = critical_path_time(d, a, rt, hosts, mode, functions=fns, workers=workers, client=0)
         expected = enumerate_critical_path(
-            d, a, rt, reg, mode, functions=fns, workers=workers, client=0
+            d, a, rt, hosts, mode, functions=fns, workers=workers, client=0
         )
         assert got == expected, f"dag #{k}"
     elapsed = time.perf_counter() - t0
@@ -145,7 +146,7 @@ def test_criterion_03_routing_vs_brute_force():
         for key, (prop, path) in expected.items():
             route = rt.route(*key)
             assert route.path == path, f"topology #{k}, pair {key}"
-            assert route.propagation == prop, f"topology #{k}, pair {key}"
+            assert route_propagation(route) == prop, f"topology #{k}, pair {key}"
             assert len(route.hops) == len(path) - 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"routing check took {elapsed:.2f}s"
@@ -276,27 +277,21 @@ def test_criterion_08_policy_oracle():
             ops_per_byte=rng.choice([0.0, 1.0]),
             state_size=state_size,
         )
-        reg = StateRegistry()
-        if state_size and rng.random() < 0.8:
-            reg.seed("app", "f", host=rng.choice(candidates))
+        host = rng.choice(candidates) if state_size and rng.random() < 0.8 else None
         backlog = {
             w: 0.0 if homogeneous else rng.choice([0.0, 500.0, 5000.0]) for w in candidates
         }
         ctx = DispatchContext(
-            app_id="app",
             candidate_workers=candidates,
-            now=0.0,
-            state_host=reg.get("app", "f"),
             routes=rt,
-            payload_location=0,
             rng=np.random.default_rng(k),
             loads=loaded_runtimes(workers, backlog),
             policy=PolicyKind.MIN_LATENCY_ESTIMATE,
             mode=StateMode(rng.choice(ALL_MODES)),
         )
         input_bytes = rng.choice([0.0, 1000.0, 50_000.0])
-        got = choose_worker(ctx, f, input_bytes)
-        estimates = {w: estimate_completion(ctx, f, w, input_bytes) for w in candidates}
+        got = choose_worker(ctx, f, ("app", "f"), input_bytes, 0.0, 0, host)
+        estimates = {w: estimate_completion(ctx, f, w, input_bytes, 0.0, 0, host) for w in candidates}
         best = min(estimates.values())
         expected = min(w for w, e in estimates.items() if e == best)
         assert got == expected, f"context #{k}"
@@ -318,12 +313,8 @@ def test_criterion_09_statistical_sanity():
     rt = build_routes(topo)
     workers = {w.id: w for w in topo.workers()}
     ctx = DispatchContext(
-        app_id="app",
         candidate_workers=tuple(range(1, n_candidates + 1)),
-        now=0.0,
-        state_host=None,
         routes=rt,
-        payload_location=0,
         rng=np.random.default_rng(909),
         loads=loaded_runtimes(workers, {}),
         policy=PolicyKind.RANDOM,
@@ -333,7 +324,7 @@ def test_criterion_09_statistical_sanity():
     draws = 10_000
     counts = {w: 0 for w in ctx.candidate_workers}
     for _ in range(draws):
-        counts[choose_worker(ctx, f, 0.0)] += 1
+        counts[choose_worker(ctx, f, ("app", "f"), 0.0, 0.0, 0, None)] += 1
     p = 1.0 / n_candidates
     sigma = (draws * p * (1 - p)) ** 0.5
     for w, c in counts.items():
@@ -345,19 +336,15 @@ def test_criterion_09_statistical_sanity():
         sub = tuple(range(1, n + 1))
         sub_workers = {w: NodeSpec(w, "worker", 1, 1e6) for w in sub}
         ctx_n = DispatchContext(
-            app_id="app",
             candidate_workers=sub,
-            now=0.0,
-            state_host=None,
             routes=rt,
-            payload_location=0,
             rng=np.random.default_rng(0),
             loads=loaded_runtimes(sub_workers, {}),
             policy=PolicyKind.ROUND_ROBIN,
             mode=StateMode.EMBEDDED,
         )
         for cycle in range(3):
-            seen = [choose_worker(ctx_n, f, 0.0) for _ in range(n)]
+            seen = [choose_worker(ctx_n, f, ("app", "f"), 0.0, 0.0, 0, None) for _ in range(n)]
             assert sorted(seen) == list(sub), (n, cycle, seen)
 
     # Poisson inter-arrival mean within 2% with >= 100k samples

@@ -16,7 +16,7 @@ from chainsim.dispatch import (
     estimate_completion,
 )
 from chainsim.engine import WorkerRuntime
-from chainsim.state import StateMode, StateRegistry
+from chainsim.state import StateMode
 from chainsim.topology import LinkSpec, NodeSpec, Topology, build_routes
 from chainsim.workflow import FunctionSpec
 
@@ -38,8 +38,6 @@ def make_ctx(
     rt,
     *,
     backlog=None,
-    payload_location=0,
-    registry=None,
     seed=0,
     candidates=None,
     policy=PolicyKind.MIN_LATENCY_ESTIMATE,
@@ -48,12 +46,8 @@ def make_ctx(
     workers = {n.id: n for n in t.workers()}
     cands = tuple(sorted(workers)) if candidates is None else tuple(candidates)
     return DispatchContext(
-        app_id="app",
         candidate_workers=cands,
-        now=0.0,
-        state_host=None if registry is None else registry.get("app", "f"),
         routes=rt,
-        payload_location=payload_location,
         rng=np.random.default_rng(seed),
         loads=loaded_runtimes(workers, backlog or {}),
         policy=policy,
@@ -61,48 +55,56 @@ def make_ctx(
     )
 
 
+def choose(ctx, f, input_bytes, *, payload_node=0, host=None, now=0.0):
+    """``choose_worker`` for stage ``("app", f.id)``."""
+    return choose_worker(ctx, f, ("app", f.id), input_bytes, now, payload_node, host)
+
+
+def estimate(ctx, f, w, input_bytes, *, payload_node=0, host=None, now=0.0):
+    return estimate_completion(ctx, f, w, input_bytes, now, payload_node, host)
+
+
 class TestEstimateCompletion:
     def test_idle_colocated_is_compute_only(self):
         t, rt = star_network(1)
-        ctx = make_ctx(t, rt, payload_location=1, mode=StateMode.REMOTE_FIXED)
+        ctx = make_ctx(t, rt, mode=StateMode.REMOTE_FIXED)
         f = FunctionSpec("f", fixed_ops=1000.0)
-        assert estimate_completion(ctx, f, 1, 0.0) == pytest.approx(
+        assert estimate(ctx, f, 1, 0.0, payload_node=1) == pytest.approx(
             0.001, abs=1e-15
         )
 
     def test_backlog_adds_drain_time(self):
         t, rt = star_network(1)
-        ctx = make_ctx(t, rt, payload_location=1, backlog={1: 1000.0}, mode=StateMode.REMOTE_FIXED)
+        ctx = make_ctx(t, rt, backlog={1: 1000.0}, mode=StateMode.REMOTE_FIXED)
         f = FunctionSpec("f", fixed_ops=1000.0)
-        assert estimate_completion(ctx, f, 1, 0.0) == pytest.approx(
+        assert estimate(ctx, f, 1, 0.0, payload_node=1) == pytest.approx(
             0.002, abs=1e-15
         )
 
     def test_input_transfer_term(self):
         # one hop (1 ms, 1e6 B/s) with 1000 B: 0.002 transfer + 0.001 backlog + 0.001 compute
         t, rt = star_network(1)
-        ctx = make_ctx(t, rt, payload_location=0, backlog={1: 1000.0}, mode=StateMode.REMOTE_FIXED)
+        ctx = make_ctx(t, rt, backlog={1: 1000.0}, mode=StateMode.REMOTE_FIXED)
         f = FunctionSpec("f", fixed_ops=1000.0)
-        assert estimate_completion(ctx, f, 1, 1000.0) == pytest.approx(
+        assert estimate(ctx, f, 1, 1000.0, payload_node=0) == pytest.approx(
             0.004, abs=1e-15
         )
 
     def test_state_term_uses_snapshot_without_migrating(self):
         t, rt = star_network(2)
-        reg = StateRegistry()
-        reg.seed("app", "f", host=1)
-        ctx = make_ctx(t, rt, payload_location=1, registry=reg, mode=StateMode.REMOTE_MIGRATE)
+        ctx = make_ctx(t, rt, mode=StateMode.REMOTE_MIGRATE)
         f = FunctionSpec("f", fixed_ops=1000.0, state_size=500.0)
-        at_host = estimate_completion(ctx, f, 1, 0.0)
-        away = estimate_completion(ctx, f, 2, 0.0)
+        at_host = estimate(ctx, f, 1, 0.0, payload_node=1, host=1)
+        away = estimate(ctx, f, 2, 0.0, payload_node=1, host=1)
         assert away > at_host
-        assert reg.get("app", "f") == 1  # prediction, not commitment
+        # prediction, not commitment: the state stays at host 1
+        assert estimate(ctx, f, 1, 0.0, payload_node=1, host=1) == at_host
 
     def test_cores_divide_backlog(self):
         t, rt = star_network(1, cores=4)
-        ctx = make_ctx(t, rt, payload_location=1, backlog={1: 4000.0}, mode=StateMode.REMOTE_FIXED)
+        ctx = make_ctx(t, rt, backlog={1: 4000.0}, mode=StateMode.REMOTE_FIXED)
         f = FunctionSpec("f", fixed_ops=1000.0)
-        assert estimate_completion(ctx, f, 1, 0.0) == pytest.approx(
+        assert estimate(ctx, f, 1, 0.0, payload_node=1) == pytest.approx(
             0.002, abs=1e-15
         )
 
@@ -113,7 +115,7 @@ class TestChooseWorker:
         f = FunctionSpec("f", fixed_ops=1000.0)
         for policy in PolicyKind:
             ctx = make_ctx(t, rt, policy=policy)
-            assert choose_worker(ctx, f, 100.0) == 1
+            assert choose(ctx, f, 100.0) == 1
 
     def test_empty_candidates_rejected(self):
         t, rt = star_network(2)
@@ -132,38 +134,35 @@ class TestChooseWorker:
             ctx = make_ctx(t, rt, backlog={1: 5.0, 2: 5.0, 3: 9.0}, candidates=candidates,
                            policy=PolicyKind.LEAST_LOADED)
             f = FunctionSpec("f", 1.0)
-            assert choose_worker(ctx, f, 0.0) == 1
+            assert choose(ctx, f, 0.0) == 1
 
     def test_round_robin_cycles_per_function(self):
         t, rt = star_network(3)
         ctx = make_ctx(t, rt, policy=PolicyKind.ROUND_ROBIN)
         f, g = FunctionSpec("f", 1.0), FunctionSpec("g", 1.0)
-        seq_f = [choose_worker(ctx, f, 0.0) for _ in range(6)]
+        seq_f = [choose(ctx, f, 0.0) for _ in range(6)]
         assert seq_f == [1, 2, 3, 1, 2, 3]
         # a different function has its own cursor
-        assert choose_worker(ctx, g, 0.0) == 1
+        assert choose(ctx, g, 0.0) == 1
 
     def test_state_local_prefers_host_else_least_loaded(self):
         t, rt = star_network(3)
-        reg = StateRegistry()
-        reg.seed("app", "f", host=3)
         local = {"policy": PolicyKind.STATE_LOCAL, "mode": StateMode.REMOTE_FIXED}
-        ctx = make_ctx(t, rt, registry=reg, backlog={1: 0.0, 2: 0.0, 3: 100.0}, **local)
+        ctx = make_ctx(t, rt, backlog={1: 0.0, 2: 0.0, 3: 100.0}, **local)
         f = FunctionSpec("f", fixed_ops=1.0, state_size=10.0)
-        assert choose_worker(ctx, f, 0.0) == 3
+        assert choose(ctx, f, 0.0, host=3) == 3
         # host not among candidates: falls back to least loaded
-        ctx2 = make_ctx(t, rt, registry=reg, backlog={1: 7.0, 2: 3.0}, candidates=(1, 2), **local)
-        assert choose_worker(ctx2, f, 0.0) == 2
-        # no entry at all: least loaded
+        ctx2 = make_ctx(t, rt, backlog={1: 7.0, 2: 3.0}, candidates=(1, 2), **local)
+        assert choose(ctx2, f, 0.0, host=3) == 2
+        # unplaced state: least loaded
         ctx3 = make_ctx(t, rt, backlog={1: 7.0, 2: 3.0, 3: 5.0}, **local)
-        g = FunctionSpec("g", fixed_ops=1.0, state_size=10.0)
-        assert choose_worker(ctx3, g, 0.0) == 2
+        assert choose(ctx3, f, 0.0) == 2
 
     def test_random_is_deterministic_per_seed(self):
         t, rt = star_network(4)
         f = FunctionSpec("f", 1.0)
-        seq1 = [choose_worker(make_ctx(t, rt, seed=7, policy=PolicyKind.RANDOM), f, 0.0)]
-        seq2 = [choose_worker(make_ctx(t, rt, seed=7, policy=PolicyKind.RANDOM), f, 0.0)]
+        seq1 = [choose(make_ctx(t, rt, seed=7, policy=PolicyKind.RANDOM), f, 0.0)]
+        seq2 = [choose(make_ctx(t, rt, seed=7, policy=PolicyKind.RANDOM), f, 0.0)]
         assert seq1 == seq2
 
     def test_min_latency_matches_brute_force(self):
@@ -172,15 +171,14 @@ class TestChooseWorker:
         for _ in range(50):
             n = rng.randint(2, 6)
             t, rt = star_network(n)
-            reg = StateRegistry()
-            reg.seed("app", "f", host=rng.randint(1, n))
+            host = rng.randint(1, n)
             backlog = {w: rng.choice([0.0, 500.0, 500.0, 2000.0]) for w in range(1, n + 1)}
             mode = rng.choice(list(StateMode))
-            ctx = make_ctx(t, rt, backlog=backlog, registry=reg, mode=mode)
-            got = choose_worker(ctx, f, 1000.0)
+            ctx = make_ctx(t, rt, backlog=backlog, mode=mode)
+            got = choose(ctx, f, 1000.0, host=host)
             expected = min(
                 ctx.candidate_workers,
-                key=lambda w: (estimate_completion(ctx, f, w, 1000.0), w),
+                key=lambda w: (estimate(ctx, f, w, 1000.0, host=host), w),
             )
             assert got == expected
 
@@ -190,7 +188,7 @@ class TestChooseWorker:
         f = FunctionSpec("f", fixed_ops=1000.0)
         for candidates in ((1, 2, 3, 4), (4, 3, 2, 1)):
             ctx = make_ctx(t, rt, candidates=candidates)
-            assert choose_worker(ctx, f, 100.0) == 1
+            assert choose(ctx, f, 100.0) == 1
 
 
 class TestOnePassChoice:
@@ -220,11 +218,9 @@ class TestOnePassChoice:
         # groups and state delays: a decision at a seen payload node, state
         # host and state size looks up no route and prices no state access.
         t, rt = star_network(n_workers=4)
-        reg = StateRegistry()
-        reg.seed("app", "f", host=2)
-        ctx = make_ctx(t, rt, payload_location=3, registry=reg, mode=StateMode.REMOTE_FIXED)
+        ctx = make_ctx(t, rt, mode=StateMode.REMOTE_FIXED)
         f = FunctionSpec("f", fixed_ops=1000.0, state_size=500.0)
-        first = choose_worker(ctx, f, 100.0)
+        first = choose(ctx, f, 100.0, payload_node=3, host=2)
         # one entry per node, the state host's reused for its state delays
         assert sorted(ctx.hop_memo) == [2, 3]
         assert list(ctx.state_memo) == [(2, 500.0)]
@@ -236,7 +232,7 @@ class TestOnePassChoice:
         monkeypatch.setattr(type(rt), "route", fail)
         monkeypatch.setattr(state_mod, "remote_state_access", fail)
         monkeypatch.setattr(state_mod, "_price_access", fail)
-        assert choose_worker(ctx, f, 100.0) == first
+        assert choose(ctx, f, 100.0, payload_node=3, host=2) == first
         assert ctx.hop_memo == hops and ctx.state_memo == delays
         assert all(ctx.hop_memo[k] is v for k, v in hops.items())
         assert all(ctx.state_memo[k] is v for k, v in delays.items())
@@ -247,22 +243,19 @@ class TestOnePassChoice:
         # caches and cursors keep their entries, unseen nodes included, and
         # the next decision is the one a context with no estimates makes.
         t, rt = star_network(n_workers=4)
-        reg = StateRegistry()
-        reg.seed("app", "f", host=2)
         f = FunctionSpec("f", fixed_ops=1000.0, state_size=500.0)
-        ctx, twin = (make_ctx(t, rt, backlog={1: 3000.0, 3: 500.0}, payload_location=3, registry=reg,
-                              policy=policy, mode=StateMode.REMOTE_FIXED) for _ in range(2))
-        assert choose_worker(ctx, f, 100.0) == choose_worker(twin, f, 100.0)
+        ctx, twin = (make_ctx(t, rt, backlog={1: 3000.0, 3: 500.0}, policy=policy, mode=StateMode.REMOTE_FIXED)
+                     for _ in range(2))
+        assert choose(ctx, f, 100.0, payload_node=3, host=2) == choose(twin, f, 100.0, payload_node=3, host=2)
         before = [dict(memo) for memo in (ctx.hop_memo, ctx.state_memo, ctx.cursors)]
         for src, host in ((3, 2), (0, 4), (1, None)):
-            ctx.payload_location, ctx.state_host = src, host
             for w in ctx.candidate_workers:
-                assert estimate_completion(ctx, f, w, 100.0).hex() == reference_estimate(ctx, f, w, 100.0).hex()
+                got = estimate(ctx, f, w, 100.0, payload_node=src, host=host)
+                assert got.hex() == reference_estimate(ctx, f, w, 100.0, 0.0, src, host).hex()
             after = [ctx.hop_memo, ctx.state_memo, ctx.cursors]
             assert after == before
             assert all(a[k] is v for a, b in zip(after, before) for k, v in b.items())
-        ctx.payload_location, ctx.state_host = 3, 2
-        assert choose_worker(ctx, f, 100.0) == choose_worker(twin, f, 100.0)
+        assert choose(ctx, f, 100.0, payload_node=3, host=2) == choose(twin, f, 100.0, payload_node=3, host=2)
 
 
 class TestPolicyProperties:
@@ -287,13 +280,13 @@ class TestPolicyProperties:
         f = FunctionSpec("f", fixed_ops=3000.0, ops_per_byte=1.0)
         t1, rt1 = build(1.0)
         ctx1 = make_ctx(t1, rt1)
-        estimates = [estimate_completion(ctx1, f, w, 500.0) for w in ctx1.candidate_workers]
+        estimates = [estimate(ctx1, f, w, 500.0) for w in ctx1.candidate_workers]
         if len(set(estimates)) < len(estimates):
             return  # tie-free instances only
         t2, rt2 = build(scale)
         ctx2 = make_ctx(t2, rt2)
-        pick1 = choose_worker(ctx1, f, 500.0)
-        pick2 = choose_worker(ctx2, f, 500.0)
+        pick1 = choose(ctx1, f, 500.0)
+        pick2 = choose(ctx2, f, 500.0)
         assert pick1 == pick2
 
     def test_random_uniform_within_3_sigma(self):
@@ -303,7 +296,7 @@ class TestPolicyProperties:
         n = 10_000
         counts = {w: 0 for w in ctx.candidate_workers}
         for _ in range(n):
-            counts[choose_worker(ctx, f, 0.0)] += 1
+            counts[choose(ctx, f, 0.0)] += 1
         p = 1 / len(counts)
         sigma = (n * p * (1 - p)) ** 0.5
         for w, c in counts.items():
@@ -357,24 +350,65 @@ class TestScoresMatchReference:
         for mode in StateMode:
             for host in hosts:
                 for src in sources:
-                    reg = StateRegistry()
-                    if host is not None:
-                        reg.seed("app", "f", host=host)
                     if tie:
                         backlog = {w: 500.0 for w in candidates}
                     else:
                         backlog = {w: rng.choice([0.0, 500.0, 2000.0]) for w in candidates if rng.random() < 0.8}
-                    ctx = make_ctx(t, rt, backlog=backlog, payload_location=src, registry=reg,
-                                   candidates=candidates, mode=mode)
+                    ctx = make_ctx(t, rt, backlog=backlog, candidates=candidates, mode=mode)
                     input_bytes = rng.choice([0.0, 1000.0, 12345.6])
-                    reference = [reference_estimate(ctx, f, w, input_bytes) for w in candidates]
+                    args = (input_bytes, 0.0, src, host)
+                    reference = [reference_estimate(ctx, f, w, *args) for w in candidates]
                     expected = [x.hex() for x in reference]
-                    best, best_w = _least_estimate(ctx, f, input_bytes)
+                    best, best_w = _least_estimate(ctx, f, *args)
                     ref_best, ref_w = min(zip(reference, candidates))
                     assert (best.hex(), best_w) == (ref_best.hex(), ref_w)
-                    assert [estimate_completion(ctx, f, w, input_bytes).hex() for w in candidates] == expected
-                    got = choose_worker(ctx, f, input_bytes)
-                    assert got == reference_choice(ctx, f, input_bytes)
+                    assert [estimate_completion(ctx, f, w, *args).hex() for w in candidates] == expected
+                    got = choose_worker(ctx, f, ("app", "f"), *args)
+                    assert got == reference_choice(ctx, f, *args)
                     if tie:
                         assert len(set(expected)) == 1
                         assert got == min(candidates)
+
+
+class TestInterleavedDecisions:
+    """One context serves a whole run; each decision brings its own time, payload node and state host."""
+
+    @pytest.mark.parametrize(
+        "policy", [PolicyKind.LEAST_LOADED, PolicyKind.STATE_LOCAL, PolicyKind.MIN_LATENCY_ESTIMATE]
+    )
+    def test_shared_context_decides_as_fresh_ones(self, policy):
+        rng = random.Random(2424)
+        t = random_mesh(rng, tie=False)
+        rt = build_routes(t)
+        workers = sorted(n.id for n in t.workers())
+        # queued ops and busy cores, so which worker is least loaded turns on the time
+        backlog = {w: rng.choice([500.0, 2000.0, 3000.0]) for w in workers}
+        shared = make_ctx(t, rt, backlog=backlog, policy=policy, mode=StateMode.REMOTE_FIXED)
+        for w in workers:
+            shared.loads[w].busy_until[0] = rng.choice([0.0, 0.002, 0.01])
+        f = FunctionSpec("f", fixed_ops=1000.0, ops_per_byte=1.0, state_size=20000.0)
+        picks = []
+        for _ in range(60):
+            now = rng.choice([0.0, 0.001, 0.009])
+            src = rng.choice([n.id for n in t.nodes])
+            host = rng.choice([None, *workers])
+            args = (1000.0, now, src, host)
+            if policy is PolicyKind.MIN_LATENCY_ESTIMATE:
+                # the least estimate itself, so a stale table shows even where the pick survives it
+                best, best_w = _least_estimate(shared, f, *args)
+                fresh, fresh_w = _least_estimate(replace(shared), f, *args)
+                assert (best.hex(), best_w) == (fresh.hex(), fresh_w)
+            got = choose_worker(shared, f, ("app", "f"), *args)
+            assert got == choose_worker(replace(shared), f, ("app", "f"), *args)
+            picks.append(got)
+        assert len(set(picks)) > 1
+
+    def test_round_robin_rotation_per_key(self):
+        # The same function in two apps: each stage key keeps its own cursor.
+        t, rt = star_network(3)
+        ctx = make_ctx(t, rt, policy=PolicyKind.ROUND_ROBIN)
+        f = FunctionSpec("f", 1.0)
+        picks = {("a", "f"): [], ("b", "f"): []}
+        for key in [("a", "f"), ("b", "f"), ("a", "f"), ("a", "f"), ("b", "f"), ("a", "f"), ("b", "f")]:
+            picks[key].append(choose_worker(ctx, f, key, 0.0, 0.0, 0, None))
+        assert picks == {("a", "f"): [1, 2, 3, 1], ("b", "f"): [1, 2, 3]}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from chainsim import dispatch, engine, metrics
 from chainsim.config import load_json, scenario_from_raw
 from chainsim.dispatch import PolicyKind, _least_backlog, estimate_completion
-from chainsim.state import StateMode, StateRegistry, remote_state_access, stage_transfer_bytes
+from chainsim.state import StateMode, remote_state_access, stage_transfer_bytes
 from chainsim.topology import NodeSpec
 from chainsim.workflow import critical_path_time
 
@@ -51,7 +51,7 @@ def oracle_latency(sc, log, inv):
         app.dag,
         assignment,
         sc.routes,
-        StateRegistry(),
+        None,
         sc.state_mode,
         functions=app.functions,
         workers={n.id: n for n in sc.topology.workers()},
@@ -163,7 +163,7 @@ class TestPerStageBytes:
         stages = sorted(
             (rec.dispatch_time, inv.inv_id, fid, inv, rec) for inv in log.invocations for fid, rec in inv.stages.items()
         )
-        # the registry is replayed in dispatch order, which needs distinct times per state item
+        # the state hosts are replayed in dispatch order, which needs distinct times per state item
         dispatches = [(inv.app, fid, t) for t, _, fid, inv, _ in stages]
         assert len(set(dispatches)) == len(dispatches) > 100
         hosts = {}
@@ -547,34 +547,35 @@ class TestWorkerRuntime:
             ties.append(sum(score == best[0] for score, _ in scores) > 1)
             return best[1]
 
-        def least_rescanned(ctx):
-            return least([(rescan_backlog(ctx.loads[w], ctx.now), w) for w in ctx.candidate_workers])
+        def least_rescanned(ctx, now):
+            return least([(rescan_backlog(ctx.loads[w], now), w) for w in ctx.candidate_workers])
 
-        def spy(ctx, f, input_bytes):
-            run, now, (inv, plan, at_node) = ready[-1]
+        def spy(ctx, f, key, input_bytes, now, payload_node, host):
+            run, ready_at, (inv, plan, at_node) = ready[-1]
             fid = plan.f.id
             assert inv is run.invocations[inv.inv_id]
             preds = run.apps[inv.app].dag.preds[fid]
             assert ctx.policy is kind and ctx.mode is run.sc.state_mode
-            assert f.id == fid and ctx.app_id == inv.app and ctx.now == now
+            assert f.id == fid and key == (inv.app, fid) and now == ready_at
             origin = inv.stages[preds[0]].worker if preds else run.apps[inv.app].client
-            assert ctx.payload_location == at_node == origin
+            assert payload_node == at_node == origin
+            assert host == (run.hosts.get(key) if plan.stateful else None)
             assert ctx.loads is run.workers
             assert [row[:2] for row in ctx.load_rows] == [(w, run.workers[w]) for w in ctx.candidate_workers]
             for row in ctx.load_rows:
                 backlog = _least_backlog(now, (row,))[0].hex()
                 assert backlog == row[1].backlog_ops(now).hex() == rescan_backlog(row[1], now).hex()
-            w = choose_worker(ctx, f, input_bytes)
+            args = (input_bytes, now, payload_node, host)
+            w = choose_worker(ctx, f, key, *args)
             if kind is PolicyKind.LEAST_LOADED:
-                assert w == least_rescanned(ctx)
+                assert w == least_rescanned(ctx, now)
             elif kind is PolicyKind.STATE_LOCAL:
-                host = ctx.state_host
-                assert w == (host if host in ctx.candidate_workers else least_rescanned(ctx))
+                assert w == (host if host in ctx.candidate_workers else least_rescanned(ctx, now))
             elif kind is PolicyKind.MIN_LATENCY_ESTIMATE:
-                scores = [(reference_estimate(ctx, f, c, input_bytes), c) for c in ctx.candidate_workers]
-                assert w == least(scores) == reference_choice(ctx, f, input_bytes)
+                scores = [(reference_estimate(ctx, f, c, *args), c) for c in ctx.candidate_workers]
+                assert w == least(scores) == reference_choice(ctx, f, *args)
                 for est, c in scores:
-                    assert estimate_completion(ctx, f, c, input_bytes).hex() == est.hex()
+                    assert estimate_completion(ctx, f, c, *args).hex() == est.hex()
             return w
 
         monkeypatch.setattr(engine._Run, "_on_stage_ready", record_ready)
@@ -600,9 +601,9 @@ class TestMinLatencyAgainstReference:
         raw["state_mode"] = mode
         sc = build(raw)
 
-        def reference_chooser(ctx, f, input_bytes):
+        def reference_chooser(ctx, f, key, *args):
             assert ctx.policy is PolicyKind.MIN_LATENCY_ESTIMATE
-            return reference_choice(ctx, f, input_bytes)
+            return reference_choice(ctx, f, *args)
 
         with monkeypatch.context() as m:
             m.setattr(engine, "choose_worker", reference_chooser)
@@ -631,11 +632,11 @@ class TestMinLatencyAgainstReference:
         payload_nodes, host_sizes = set(), set()
         choose = engine.choose_worker
 
-        def spy(ctx, f, input_bytes):
-            payload_nodes.add(ctx.payload_location)
-            if ctx.state_host is not None:
-                host_sizes.add((ctx.state_host, f.state_size))
-            return choose(ctx, f, input_bytes)
+        def spy(ctx, f, key, input_bytes, now, payload_node, host):
+            payload_nodes.add(payload_node)
+            if host is not None:
+                host_sizes.add((host, f.state_size))
+            return choose(ctx, f, key, input_bytes, now, payload_node, host)
 
         monkeypatch.setattr(dispatch, "_fill_hops", counting_fill_hops)
         monkeypatch.setattr(engine, "choose_worker", spy)
@@ -646,32 +647,92 @@ class TestMinLatencyAgainstReference:
         assert sorted(grouped) == sorted(payload_nodes | hosts)
 
 
+class CountingHosts(dict):
+    """A state-host dict that records every key read through ``get``, ``[]`` or ``in``."""
+
+    def __init__(self, reads: list):
+        super().__init__()
+        self.reads = reads
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads.append(key)
+        return super().__contains__(key)
+
+
+def keep_runs(monkeypatch, hosts=dict) -> list:
+    """Record each ``_Run`` as it is built, its ``hosts`` replaced by an empty ``hosts()``."""
+    runs = []
+    init = engine._Run.__init__
+
+    def recording_init(run, *args):
+        init(run, *args)
+        run.hosts = hosts()
+        runs.append(run)
+
+    monkeypatch.setattr(engine._Run, "__init__", recording_init)
+    return runs
+
+
+def stateful_stages(sc, log) -> list:
+    """``(dispatch time, inv_id, (app, fid), worker)`` of each stage with state, in dispatch order."""
+    return sorted(
+        (rec.dispatch_time, inv.inv_id, (inv.app, fid), rec.worker)
+        for inv in log.invocations
+        for fid, rec in inv.stages.items()
+        if sc.apps[inv.app].functions[fid].state_size > 0
+    )
+
+
 class TestStateRegistryReads:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     @pytest.mark.parametrize("mode", ["remote_fixed", "remote_migrate"])
     def test_one_read_per_stateful_dispatch(self, policy, mode, monkeypatch):
-        # The engine reads a stateful function's host once per dispatch and
-        # hands it to the policy and the state access; nothing else reads it.
+        # The engine reads a stateful function's host from the run's host
+        # dict once per dispatch and hands it to the policy and the state
+        # access; nothing else reads it.
         raw = load_json(CONFIGS / "two_worker_chain.json")
         raw["policy"], raw["state_mode"] = policy, mode
         sc = build(raw)
         reads = []
-        get = StateRegistry.get
-
-        def counting_get(reg, app_id, function_id):
-            reads.append((app_id, function_id))
-            return get(reg, app_id, function_id)
-
-        monkeypatch.setattr(StateRegistry, "get", counting_get)
+        keep_runs(monkeypatch, lambda: CountingHosts(reads))
         log = engine.run(sc)
-        stateful = [
-            (inv.app, fid)
-            for inv in log.invocations
-            for fid in inv.stages
-            if sc.apps[inv.app].functions[fid].state_size > 0
-        ]
+        stateful = [key for _t, _id, key, _w in stateful_stages(sc, log)]
         assert len(stateful) > 1000
         assert sorted(reads) == sorted(stateful)
+
+
+class TestStateHosts:
+    @pytest.mark.parametrize("mode", ["remote_fixed", "remote_migrate"])
+    @pytest.mark.parametrize(
+        "config, policy", [("two_worker_chain.json", "least_loaded"), ("edge_mesh.json", "min_latency_estimate")]
+    )
+    def test_final_hosts_replay_the_log(self, config, policy, mode, monkeypatch):
+        # A state item stays at its first dispatch's worker under
+        # remote_fixed and follows each dispatch under remote_migrate.
+        raw = load_json(CONFIGS / config)
+        raw["policy"], raw["state_mode"] = policy, mode
+        sc = build(raw)
+        runs = keep_runs(monkeypatch)
+        log = engine.run(sc)
+        stages = stateful_stages(sc, log)
+        # replayed in dispatch order, which needs distinct times per state item
+        assert len({(t, key) for t, _id, key, _w in stages}) == len(stages) > 100
+        first, last, seen = {}, {}, set()
+        for _t, _id, key, w in stages:
+            first.setdefault(key, w)
+            last[key] = w
+            seen.add((key, w))
+        assert len(seen) > len(first)  # some item runs on more than one worker
+        (run,) = runs
+        assert run.hosts == (first if mode == "remote_fixed" else last)
 
 
 class TestLazyArrivals:
@@ -704,7 +765,7 @@ class TestLazyArrivals:
         """Every arrival on the heap at the start, each with ``seq = inv_id``."""
         if inv_id == 0:
             for i, inv in enumerate(run.invocations):
-                engine.heapq.heappush(run.heap, (inv.arrival, i, engine.ARRIVAL, (i,)))
+                engine.heapq.heappush(run.heap, (inv.arrival, i, engine.ARRIVAL, inv))
 
     @pytest.mark.parametrize("explicit", [None, {"alerts": [0.0, 0.5, 0.5, 1.0, 2.0], "fanout": [0.0, 0.5, 1.0, 1.0]}])
     def test_one_arrival_waits_and_order_is_unchanged(self, explicit, monkeypatch):
@@ -717,7 +778,7 @@ class TestLazyArrivals:
         keys = [item[:2] for item, _waiting in pops]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         arrivals = [item for item, _waiting in pops if item[2] == engine.ARRIVAL]
-        assert arrivals == [(inv.arrival, i, engine.ARRIVAL, (i,)) for i, inv in enumerate(log.invocations)]
+        assert arrivals == [(inv.arrival, i, engine.ARRIVAL, inv) for i, inv in enumerate(log.invocations)]
         if explicit is not None:
             times = [inv.arrival for inv in log.invocations]
             assert len(set(times)) < n  # equal times, broken by app order

@@ -8,7 +8,6 @@ from chainsim.dispatch import _fill_hops, _fill_state
 from chainsim.state import (
     StateAccess,
     StateMode,
-    StateRegistry,
     remote_state_access,
     stage_transfer_bytes,
 )
@@ -92,34 +91,25 @@ class TestHopIdentity:
 
 class TestRemoteStateAccess:
     def test_colocated_is_free(self, net):
-        reg = StateRegistry()
-        reg.seed("app", "f", host=1)
-        access = remote_state_access(StateMode.REMOTE_FIXED, reg.get("app", "f"), stateful(), 1, net)
+        access = remote_state_access(StateMode.REMOTE_FIXED, 1, stateful(), 1, net)
         assert access == StateAccess(0.0, 0.0)
 
     def test_fixed_pays_fetch_and_writeback(self, net):
         # one hop (1 ms, 1e6 B/s), 1000 B each way: 2 * (0.001 + 0.001)
-        reg = StateRegistry()
-        reg.seed("app", "f", host=1)
-        access = remote_state_access(StateMode.REMOTE_FIXED, reg.get("app", "f"), stateful(), 2, net)
+        access = remote_state_access(StateMode.REMOTE_FIXED, 1, stateful(), 2, net)
         assert access.delay == pytest.approx(0.004, abs=1e-15)
         assert access.bytes_moved == 2000.0
         assert not access.migration
 
     def test_migrate_pays_single_transfer(self, net):
-        reg = StateRegistry()
-        reg.seed("app", "f", host=1)
-        access = remote_state_access(StateMode.REMOTE_MIGRATE, reg.get("app", "f"), stateful(), 2, net)
+        access = remote_state_access(StateMode.REMOTE_MIGRATE, 1, stateful(), 2, net)
         assert access.delay == pytest.approx(0.002, abs=1e-15)
         assert access.bytes_moved == 1000.0
         assert access.migration
-        assert reg.get("app", "f") == 1  # pure: the caller moves the host
 
     def test_fixed_bytes_double_migrate_bytes(self, net):
-        reg = StateRegistry()
-        reg.seed("app", "f", host=1)
-        fixed = remote_state_access(StateMode.REMOTE_FIXED, reg.get("app", "f"), stateful(777.0), 2, net)
-        migrate = remote_state_access(StateMode.REMOTE_MIGRATE, reg.get("app", "f"), stateful(777.0), 2, net)
+        fixed = remote_state_access(StateMode.REMOTE_FIXED, 1, stateful(777.0), 2, net)
+        migrate = remote_state_access(StateMode.REMOTE_MIGRATE, 1, stateful(777.0), 2, net)
         assert fixed.bytes_moved == 2 * migrate.bytes_moved
 
     def test_missing_entry_is_cold_start(self, net):
@@ -132,9 +122,7 @@ class TestRemoteStateAccess:
         assert access == StateAccess(0.0, 0.0)
 
     def test_embedded_mode_has_no_cost(self, net):
-        reg = StateRegistry()
-        reg.seed("app", "f", host=1)
-        access = remote_state_access(StateMode.EMBEDDED, reg.get("app", "f"), stateful(), 2, net)
+        access = remote_state_access(StateMode.EMBEDDED, 1, stateful(), 2, net)
         assert access == StateAccess(0.0, 0.0)
 
 
@@ -143,61 +131,14 @@ class TestStateAccessLegs:
     @pytest.mark.parametrize("case", ["away", "colocated", "unplaced", "stateless"])
     def test_legs_in_every_mode(self, net, mode, case):
         f = stateful(0.0 if case == "stateless" else 1000.0)
-        reg = StateRegistry()
-        if case != "unplaced":
-            reg.seed("app", "f", host=1)
-        access = remote_state_access(mode, reg.get("app", "f"), f, 1 if case == "colocated" else 2, net)
+        host = None if case == "unplaced" else 1
+        access = remote_state_access(mode, host, f, 1 if case == "colocated" else 2, net)
         crossings = {StateMode.REMOTE_FIXED: ((1, 2), (2, 1)), StateMode.REMOTE_MIGRATE: ((1, 2),)}
         legs = crossings.get(mode, ()) if case == "away" else ()
         assert access.links == tuple(key for src, dst in legs for key in net.route(src, dst).links)
         assert access.bytes_moved == len(legs) * f.state_size
         assert access.delay == sum(transfer_delay(net, src, dst, f.state_size) for src, dst in legs)
         assert access.migration == (mode is StateMode.REMOTE_MIGRATE and bool(legs))
-
-
-class TestRegistryMove:
-    def test_migration_moves_only_that_entry(self):
-        reg = StateRegistry()
-        reg.seed("app", "f", host=1)
-        reg.seed("app", "g", host=1)
-        reg.move("app", "f", 2)
-        assert reg.get("app", "f") == 2
-        assert reg.get("app", "g") == 1
-
-    def test_two_successive_migrations(self):
-        # replayed by hand: w1 -> w2 -> w3 leaves the host at w3
-        reg = StateRegistry()
-        reg.seed("app", "f", host=1)
-        reg.move("app", "f", 2)
-        reg.move("app", "f", 3)
-        assert reg.get("app", "f") == 3
-
-    @settings(max_examples=50)
-    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=30))
-    def test_moves_keep_every_entry_and_size(self, seed, n_moves):
-        rng = random.Random(seed)
-        reg = StateRegistry()
-        hosts = {}
-        for fid in ("f", "g", "h"):
-            hosts[fid] = rng.choice([1, 2, 3])
-            reg.seed("app", fid, host=hosts[fid])
-        for _ in range(n_moves):
-            fid = rng.choice(["f", "g", "h"])
-            hosts[fid] = rng.choice([1, 2, 3])
-            reg.move("app", fid, hosts[fid])
-            for g in ("f", "g", "h"):
-                assert reg.get("app", g) == hosts[g]
-        assert reg.get("app", "k") is None
-
-    def test_move_of_unplaced_state_is_error(self):
-        with pytest.raises(KeyError):
-            StateRegistry().move("app", "f", 2)
-
-    def test_reseed_rejected(self):
-        reg = StateRegistry()
-        reg.seed("app", "f", host=1)
-        with pytest.raises(ValueError):
-            reg.seed("app", "f", host=2)
 
 
 def random_mesh(rng: random.Random):

@@ -19,7 +19,7 @@ from chainsim.topology import (
     validate_topology,
 )
 
-from helpers import brute_force_routes, candidate_context, make_topology, random_topology
+from helpers import brute_force_routes, candidate_context, make_topology, random_topology, route_propagation
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -101,7 +101,7 @@ class TestBuildRoutes:
     def test_self_route_is_empty(self):
         rt = build_routes(minimal_topology())
         route = rt.route(0, 0)
-        assert route.hops == route.links == () and route.propagation == 0.0
+        assert route.hops == route.links == () and route_propagation(route) == 0.0
         assert route.path == (0,)
 
     def test_triangle_prefers_two_cheap_hops(self):
@@ -112,7 +112,7 @@ class TestBuildRoutes:
         )
         route = build_routes(t).route(0, 2)
         assert route.path == (0, 1, 2)
-        assert route.propagation == pytest.approx(0.010, abs=1e-15)
+        assert route_propagation(route) == pytest.approx(0.010, abs=1e-15)
 
     def test_line_sums_propagation(self):
         t = make_topology(
@@ -120,8 +120,8 @@ class TestBuildRoutes:
             [(0, 1, 0.003, 1e6), (1, 2, 0.004, 1e6)],
         )
         route = build_routes(t).route(0, 2)
-        assert route.propagation == 0.003 + 0.004
-        assert route.bottleneck_rate == 1e6
+        assert route_propagation(route) == 0.003 + 0.004
+        assert min(rate for _prop, rate in route.hops) == 1e6
 
     def test_tie_breaks_fewer_hops_then_ids(self):
         # two equal-propagation routes 0->3: direct (1 hop) beats 0-1-3.
@@ -158,7 +158,7 @@ class TestBuildRoutes:
             for key, (prop, path) in expected.items():
                 route = rt.route(*key)
                 assert route.path == path
-                assert route.propagation == prop
+                assert route_propagation(route) == prop
 
 
 class TestTransferDelay:
@@ -226,8 +226,8 @@ class TestRoutingProperties:
         for a in ids:
             for b in ids:
                 for c in ids:
-                    lhs = rt.route(a, c).propagation
-                    rhs = rt.route(a, b).propagation + rt.route(b, c).propagation
+                    lhs = route_propagation(rt.route(a, c))
+                    rhs = route_propagation(rt.route(a, b)) + route_propagation(rt.route(b, c))
                     assert lhs <= rhs + 1e-12
 
 

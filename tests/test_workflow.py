@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from chainsim import engine
 from chainsim import workflow as wf
 from chainsim.config import scenario_from_raw
-from chainsim.state import StateMode, StateRegistry
+from chainsim.state import StateMode
 from chainsim.topology import build_routes, transfer_delay
 from chainsim.workflow import (
     DagSpec,
@@ -222,15 +222,15 @@ class TestCriticalPathTime:
             for v in d.vertices
         }
         a = {v: rng.choice([1, 2]) for v in d.vertices}
-        reg = StateRegistry()
+        hosts = {}
         for v in sorted(d.vertices):
             if fns[v].state_size > 0 and rng.random() < 0.7:
-                reg.seed("app", v, host=rng.choice([1, 2]))
+                hosts["app", v] = rng.choice([1, 2])
         got = critical_path_time(
-            d, a, rt, reg, mode, functions=fns, workers=workers, client=0
+            d, a, rt, hosts, mode, functions=fns, workers=workers, client=0
         )
         expected = enumerate_critical_path(
-            d, a, rt, reg, mode, functions=fns, workers=workers, client=0
+            d, a, rt, hosts, mode, functions=fns, workers=workers, client=0
         )
         assert got == expected
 
