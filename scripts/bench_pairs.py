@@ -142,7 +142,11 @@ def main() -> int:
         parser.error("--pairs must be at least 1")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
-    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+    names = [w["name"] for w in benchmark["workloads"]]
+    unknown = [w for w in args.workload or () if w not in names]
+    if unknown:
+        parser.error(f"unknown --workload {', '.join(unknown)}; BENCHMARK.json names {', '.join(names)}")
+    workloads = args.workload or names
 
     runs = {w: {"parent": [], "change": []} for w in workloads}
     for i in range(args.pairs):

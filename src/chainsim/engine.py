@@ -241,9 +241,7 @@ class _Run:
         self.heap: list[tuple[float, int, int, object]] = []  # (time, seq, kind, data)
         self.seq = count()  # restarted after the arrivals, which take seq 0..n-1
         self.invocations: list[InvocationRecord] = []  # indexed by inv_id
-        self.link_bytes: dict[tuple[int, int], float] = {
-            link.pair: 0.0 for link in scenario.topology.links
-        }
+        self.link_bytes = [0.0] * len(scenario.topology.links)  # indexed like Topology.links
         self.completed = 0
 
     # -- event plumbing ----------------------------------------------------
@@ -302,8 +300,8 @@ class _Run:
         route = self.routes.route(src, dst)
         link_bytes = self.link_bytes
         charged = rec.link_bytes
-        for key in route.links:
-            link_bytes[key] += nbytes
+        for i in route.links:
+            link_bytes[i] += nbytes
             charged += nbytes
         rec.link_bytes = charged
         if src != dst:
@@ -342,8 +340,8 @@ class _Run:
             access = remote_state_access(ctx.mode, host, f, w, self.routes)
             size = f.state_size
             link_bytes = self.link_bytes
-            for link in access.links:
-                link_bytes[link] += size
+            for i in access.links:
+                link_bytes[i] += size
                 charged += size
             if access.migration:
                 self.hosts[key] = w
@@ -449,7 +447,7 @@ class _Run:
             utilization[wid] = wr.busy_seconds / denom if denom > 0 else 0.0
         return MetricsLog(
             invocations=self.invocations,
-            link_bytes=self.link_bytes,
+            link_bytes={link.pair: total for link, total in zip(self.sc.topology.links, self.link_bytes)},
             worker_busy={wid: wr.busy_seconds for wid, wr in sorted(self.workers.items())},
             utilization=utilization,
             injected=injected,

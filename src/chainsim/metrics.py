@@ -45,9 +45,12 @@ def percentile(values: Sequence[float], p: float) -> float:
         raise ValueError("percentile of empty input")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
-    ordered = sorted(values)
-    rank = math.ceil(p * len(ordered))
-    return ordered[rank - 1]
+    return _nearest_rank(sorted(values), p)
+
+
+def _nearest_rank(ordered: Sequence[float], p: float) -> float:
+    """The ceil(p*n)-th of the sorted, non-empty ``ordered``, for p in (0, 1]."""
+    return ordered[math.ceil(p * len(ordered)) - 1]
 
 
 def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
@@ -129,10 +132,11 @@ def _latency_stats(latencies: Sequence[float]) -> dict:
     total = 0.0
     for x in latencies:
         total += x
+    ordered = sorted(latencies)
     return {
         "mean_latency_s": total / len(latencies),
-        "p50_latency_s": percentile(latencies, 0.50),
-        "p95_latency_s": percentile(latencies, 0.95),
-        "p99_latency_s": percentile(latencies, 0.99),
+        "p50_latency_s": _nearest_rank(ordered, 0.50),
+        "p95_latency_s": _nearest_rank(ordered, 0.95),
+        "p99_latency_s": _nearest_rank(ordered, 0.99),
     }
 

@@ -44,7 +44,7 @@ class StateAccess:
     delay: float  # seconds
     bytes_moved: float  # bytes over the network: network crossings x state size
     migration: bool = False  # the state moves to the executor
-    links: tuple[tuple[int, int], ...] = ()  # LinkSpec.pair of each hop of each crossing, in order
+    links: tuple[int, ...] = ()  # the Topology.links index of each hop of each crossing, in order
 
 
 ZERO_ACCESS = StateAccess(delay=0.0, bytes_moved=0.0)
@@ -106,7 +106,7 @@ def _price_access(mode: StateMode, host: int, exec_node: int, size: float, rt: R
     else:
         legs = ((host, exec_node),)
     delay = 0.0
-    links: tuple[tuple[int, int], ...] = ()
+    links: tuple[int, ...] = ()
     for src, dst in legs:
         route = rt.route(src, dst)
         delay += route.delay(size)

@@ -81,11 +81,11 @@ class Topology:
 
 @dataclass(frozen=True)
 class Route:
-    """One directed route: node id sequence plus each hop's (propagation, rate) and link key."""
+    """One directed route: node id sequence plus each hop's (propagation, rate) and link index."""
 
     path: tuple[int, ...]  # src first, dst last; (src,) when src == dst
     hops: tuple[tuple[float, float], ...]  # (propagation s, rate B/s) per hop
-    links: tuple[tuple[int, int], ...]  # LinkSpec.pair per hop
+    links: tuple[int, ...]  # the index in Topology.links of each hop's link
 
     def delay(self, nbytes: float) -> float:
         acc = 0.0
@@ -198,7 +198,8 @@ def build_routes(t: Topology) -> RouteTable:
         raise ValueError("invalid topology: " + "; ".join(t.violations))
 
     adj = _adjacency(t)
-    link_params = {link.pair: (link.propagation, link.rate) for link in t.links}
+    index = {link.pair: i for i, link in enumerate(t.links)}
+    specs = t.links
 
     routes: dict[tuple[int, int], Route] = {}
     for src in adj:
@@ -206,8 +207,9 @@ def build_routes(t: Topology) -> RouteTable:
             if src > dst:
                 continue
             for p in (path, path[::-1]):
-                links = tuple((u, v) if u <= v else (v, u) for u, v in zip(p, p[1:]))
-                routes[(p[0], p[-1])] = Route(p, tuple(link_params[key] for key in links), links)
+                links = tuple(index[(u, v) if u <= v else (v, u)] for u, v in zip(p, p[1:]))
+                hops = tuple((specs[i].propagation, specs[i].rate) for i in links)
+                routes[(p[0], p[-1])] = Route(p, hops, links)
     return RouteTable(routes)
 
 

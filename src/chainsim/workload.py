@@ -28,8 +28,9 @@ def gen_arrivals(rate: float, horizon: float, stream: np.random.Generator) -> li
     """Poisson arrival times in [0, horizon), strictly increasing.
 
     Inter-arrivals are exponential(rate) via inverse transform
-    t += -ln(u)/rate with u uniform on (0, 1]. A zero gap (u == 1.0, measure
-    zero but representable) is redrawn to keep times strictly increasing.
+    t += -ln(u)/rate with u uniform on (0, 1]. A gap too small to change
+    ``t`` (zero, from u == 1.0, or about half an ulp of ``t`` or less) is
+    redrawn to keep times strictly increasing.
     """
     if rate <= 0:
         raise ValueError(f"rate must be > 0, got {rate}")
@@ -37,10 +38,10 @@ def gen_arrivals(rate: float, horizon: float, stream: np.random.Generator) -> li
     t = 0.0
     while True:
         u = 1.0 - stream.random()  # in (0, 1]
-        gap = -math.log(u) / rate
-        if gap == 0.0:
+        nxt = t + -math.log(u) / rate
+        if nxt == t:
             continue
-        t += gap
+        t = nxt
         if t >= horizon:
             return times
         times.append(t)

@@ -105,3 +105,22 @@ def test_each_run_gets_a_fresh_empty_pycache_prefix(tmp_path, monkeypatch):
     assert {k: v for k, v in env.items() if k != "PYTHONPYCACHEPREFIX"} == {
         k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"
     }
+
+
+def test_an_unknown_workload_is_rejected_before_any_run(tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("", encoding="utf-8")
+    benchmark = {"run_seconds": 1, "workloads": [{"name": "a"}, {"name": "b"}], "end_to_end": []}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_run)
+    argv = ["bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "a", "--workload", "c"]
+    monkeypatch.setattr(bench_pairs.sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main()
+    assert exc.value.code == 2
+    assert "unknown --workload c; BENCHMARK.json names a, b" in capsys.readouterr().err

@@ -134,6 +134,58 @@ class TestConservationAndAccounting:
             assert 0.0 <= u <= 1.0 + 1e-9
 
 
+def replay_stages(sc, log):
+    """Each stage's link charges and state traffic, recomputed from the logged workers alone.
+
+    Yields ``(rec, access, state_bytes, charges)`` per stage, in dispatch
+    order. ``charges`` lists one ``(link pair, bytes)`` per hop, in the
+    engine's order: the state legs, then the input hops in sorted-pred order,
+    then the sink's delivery. Each pair is read off the route's node path.
+    """
+    state_mode = sc.state_mode
+    rt = sc.routes
+    stages = sorted(
+        (rec.dispatch_time, inv.inv_id, fid, inv, rec) for inv in log.invocations for fid, rec in inv.stages.items()
+    )
+    # the state hosts are replayed in dispatch order, which needs distinct times per state item
+    dispatches = [(inv.app, fid, t) for t, _, fid, inv, _ in stages]
+    assert len(set(dispatches)) == len(dispatches) > 100
+
+    def crossing(src, dst, nbytes):
+        path = rt.route(src, dst).path
+        return [((min(u, v), max(u, v)), nbytes) for u, v in zip(path, path[1:])]
+
+    hosts = {}
+    for _t, _id, fid, inv, rec in stages:
+        app = sc.apps[inv.app]
+        f = app.functions[fid]
+        stateful = state_mode is not StateMode.EMBEDDED and f.state_size > 0
+        host = hosts.get((inv.app, fid)) if stateful else None
+        access = remote_state_access(state_mode, host, f, rec.worker, rt)
+        if stateful and (host is None or access.migration):
+            hosts[inv.app, fid] = rec.worker
+        state_bytes = access.bytes_moved
+        charges = []
+        crossings = {
+            StateMode.REMOTE_FIXED: ((host, rec.worker), (rec.worker, host)),
+            StateMode.REMOTE_MIGRATE: ((host, rec.worker),),
+        }
+        legs = crossings[state_mode] if stateful and host not in (None, rec.worker) else ()
+        for src, dst in legs:
+            charges += crossing(src, dst, f.state_size)
+        preds = app.dag.preds[fid]
+        hops = [(inv.stages[p].worker, rec.worker, inv.outputs[p], app.functions[p], f) for p in preds]
+        if not preds:
+            hops.append((app.client, rec.worker, inv.payload, None, f))
+        if fid == app.dag.sink:
+            hops.append((rec.worker, app.client, inv.outputs[fid], f, None))
+        for src, dst, data, producer, consumer in hops:
+            charges += crossing(src, dst, stage_transfer_bytes(data, producer, consumer, state_mode))
+            if src != dst:
+                state_bytes += stage_transfer_bytes(0.0, producer, consumer, state_mode)
+        yield rec, access, state_bytes, charges
+
+
 class TestPerStageBytes:
     """Each stage's ``state_bytes`` and ``link_bytes``, recomputed from the logged workers alone."""
 
@@ -152,53 +204,45 @@ class TestPerStageBytes:
     @pytest.mark.parametrize("mode", ALL_MODES)
     @pytest.mark.parametrize("name", ["diamond", "chain"])
     def test_bytes_equal_a_replay_of_the_workers(self, name, mode):
-        # Per stage, in the engine's order: the state legs, then the input
-        # hops in sorted-pred order, then the sink's delivery.
         raw = self.raw(name)
         raw["state_mode"] = mode
         sc = build(raw)
-        state_mode = StateMode(mode)
-        rt = sc.routes
-        log = engine.run(sc)
-        stages = sorted(
-            (rec.dispatch_time, inv.inv_id, fid, inv, rec) for inv in log.invocations for fid, rec in inv.stages.items()
-        )
-        # the state hosts are replayed in dispatch order, which needs distinct times per state item
-        dispatches = [(inv.app, fid, t) for t, _, fid, inv, _ in stages]
-        assert len(set(dispatches)) == len(dispatches) > 100
-        hosts = {}
-        for _t, _id, fid, inv, rec in stages:
-            app = sc.apps[inv.app]
-            f = app.functions[fid]
-            stateful = state_mode is not StateMode.EMBEDDED and f.state_size > 0
-            host = hosts.get((inv.app, fid)) if stateful else None
-            access = remote_state_access(state_mode, host, f, rec.worker, rt)
-            if stateful and (host is None or access.migration):
-                hosts[inv.app, fid] = rec.worker
-            state_bytes = access.bytes_moved
+        for rec, access, state_bytes, charges in replay_stages(sc, engine.run(sc)):
             link_bytes = 0.0
-            crossings = {
-                StateMode.REMOTE_FIXED: ((host, rec.worker), (rec.worker, host)),
-                StateMode.REMOTE_MIGRATE: ((host, rec.worker),),
-            }
-            legs = crossings[state_mode] if stateful and host not in (None, rec.worker) else ()
-            for src, dst in legs:
-                for _link in rt.route(src, dst).links:
-                    link_bytes += f.state_size
-            preds = app.dag.preds[fid]
-            hops = [(inv.stages[p].worker, rec.worker, inv.outputs[p], app.functions[p], f) for p in preds]
-            if not preds:
-                hops.append((app.client, rec.worker, inv.payload, None, f))
-            if fid == app.dag.sink:
-                hops.append((rec.worker, app.client, inv.outputs[fid], f, None))
-            for src, dst, data, producer, consumer in hops:
-                nbytes = stage_transfer_bytes(data, producer, consumer, state_mode)
-                for _link in rt.route(src, dst).links:
-                    link_bytes += nbytes
-                if src != dst:
-                    state_bytes += stage_transfer_bytes(0.0, producer, consumer, state_mode)
+            for _pair, nbytes in charges:
+                link_bytes += nbytes
             assert rec.migration == access.migration
             assert (rec.state_bytes.hex(), rec.link_bytes.hex()) == (state_bytes.hex(), link_bytes.hex())
+
+
+class TestPerLinkBytes:
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_each_link_total_equals_a_replay_of_the_workers(self, mode):
+        # Every byte count is a whole number far below 2**53, so each sum is
+        # exact in any order and the engine's event order need not be replayed:
+        # a constant payload, output ratios that are powers of two, and whole state sizes.
+        raw = load_json(CONFIGS / "edge_mesh.json")
+        raw["state_mode"] = mode
+        raw["workload"]["payload"] = {"kind": "constant"}
+        for fn, ratio in zip(raw["workflows"][0]["functions"], (1.0, 0.5, 0.25)):
+            fn["output_ratio"] = ratio
+        sc = build(raw)
+        log = engine.run(sc)
+        totals = dict.fromkeys(log.link_bytes, 0.0)
+        for *_, charges in replay_stages(sc, log):
+            for pair, nbytes in charges:
+                assert nbytes.is_integer()
+                totals[pair] += nbytes
+        assert max(totals.values()) < 2**53
+        assert sum(v > 0 for v in totals.values()) > len(totals) // 2
+        assert log.link_bytes == totals
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in CONFIGS.glob("*.json") if not p.name.startswith(("invalid_", "sweep_")))
+    )
+    def test_keys_are_the_topology_pairs_in_order(self, name):
+        sc = build(load_json(CONFIGS / name))
+        assert list(engine.run(sc).link_bytes) == [link.pair for link in sc.topology.links]
 
 
 class TestQueueing:

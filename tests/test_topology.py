@@ -263,7 +263,7 @@ class TestRouteLinks:
     @settings(max_examples=60)
     @given(topologies(), st.integers(min_value=0, max_value=2**32 - 1))
     def test_links_and_hops_follow_the_path(self, t, flip_seed):
-        # Links are given in either orientation; a route names each by its pair.
+        # Links are given in either orientation; a route names each by its index in Topology.links.
         rng = random.Random(flip_seed)
         links = tuple(
             LinkSpec(l.endpoint_b, l.endpoint_a, l.propagation, l.rate) if rng.random() < 0.5 else l
@@ -278,7 +278,7 @@ class TestRouteLinks:
             assert len(route.links) == len(route.hops) == len(route.path) - 1
             for i, (u, v) in enumerate(zip(route.path, route.path[1:])):
                 link = by_ends[(u, v)]
-                assert route.links[i] == link.pair
+                assert t.links[route.links[i]].pair == link.pair
                 assert route.hops[i] == (link.propagation, link.rate)
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,13 @@ class TestGenArrivals:
         gaps = [b - a for a, b in zip(times, times[1:])]
         mean = sum(gaps) / len(gaps)
         assert abs(mean - 1.0 / rate) / (1.0 / rate) < 0.02
+
+    def test_a_gap_below_half_an_ulp_is_redrawn(self):
+        # u = 1 - 0.632... = 1/e gives a gap of exactly 1.0; u = 1 - 2**-53
+        # gives about 1.1e-16, which 50.0 + gap rounds away, and u = 1.0 a zero gap.
+        draws = [0.6321205588285577] * 50 + [2**-53, 0.0, 0.6321205588285577]
+        times = gen_arrivals(1.0, 50.5, SimpleNamespace(random=iter(draws).__next__))
+        assert times == [float(i) for i in range(1, 51)]
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
