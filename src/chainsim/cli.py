@@ -116,7 +116,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         print(
             f"  {app_id}: {kind} with {len(dag.vertices)} function(s),"
             f" source={dag.source} sink={dag.sink}"
-            f" client={app.client} entry_payload={dag.entry_payload!r}"
+            f" client={app.client} entry_payload={app.entry_payload!r}"
         )
         for fid in sorted(app.functions):
             f = app.functions[fid]

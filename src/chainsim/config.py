@@ -44,15 +44,6 @@ class PayloadSpec:
 
 
 @dataclass
-class AppWorkflow:
-    """One application's workflow: its DAG, its functions by id and its client node."""
-
-    dag: wf.DagSpec
-    functions: dict[str, wf.FunctionSpec]
-    client: int
-
-
-@dataclass
 class Scenario:
     """Validated runtime scenario; immutable by convention once built.
 
@@ -63,7 +54,7 @@ class Scenario:
 
     topology: Topology
     routes: RouteTable
-    apps: dict[str, AppWorkflow]
+    apps: dict[str, wf.AppWorkflow]
     rates: dict[str, float]
     horizon: float
     payload: PayloadSpec
@@ -175,7 +166,7 @@ def _parse_topology(raw: Any, violations: list[str]) -> Topology | None:
     return topo
 
 
-def _parse_workflow(raw: Any, topo: Topology | None, violations: list[str]) -> AppWorkflow | None:
+def _parse_workflow(raw: Any, topo: Topology | None, violations: list[str]) -> wf.AppWorkflow | None:
     """One workflow entry; a ``chain`` becomes the DAG of its consecutive stages."""
     if not isinstance(raw, dict):
         violations.append("workflow entries must be objects")
@@ -246,7 +237,7 @@ def _parse_workflow(raw: Any, topo: Topology | None, violations: list[str]) -> A
         if v in seen:
             errs.append(f"duplicate function {v} in chain")
         seen.add(v)
-    dag = wf.DagSpec(app_id, frozenset(vertices), frozenset(edges), entry_payload)
+    dag = wf.DagSpec(frozenset(vertices), frozenset(edges))
     if len(seen) == len(vertices):  # a repeated chain stage is reported as such, not as its cycle
         errs.extend(wf.validate_dag(dag))
     if errs:
@@ -261,7 +252,7 @@ def _parse_workflow(raw: Any, topo: Topology | None, violations: list[str]) -> A
         violations.append(f"{tag}: client must be the id of a client node")
         return None
 
-    return AppWorkflow(dag=dag, functions=functions, client=client)
+    return wf.AppWorkflow(app_id, dag, functions, client, entry_payload)
 
 
 def _parse_payload(raw: Any, violations: list[str]) -> PayloadSpec:
@@ -291,17 +282,16 @@ def scenario_from_raw(raw: dict) -> tuple[Scenario | None, list[str]]:
 
     topo = _parse_topology(raw.get("topology"), violations)
 
-    apps: dict[str, AppWorkflow] = {}
+    apps: dict[str, wf.AppWorkflow] = {}
     raw_workflows = _list(
         raw.get("workflows"), "workflows must be a non-empty list", violations, nonempty=True
     )
     for wd in raw_workflows or []:
         app = _parse_workflow(wd, topo, violations)
         if app is not None:
-            app_id = app.dag.app_id
-            if app_id in apps:
-                violations.append(f"duplicate app_id {app_id}")
-            apps[app_id] = app
+            if app.app_id in apps:
+                violations.append(f"duplicate app_id {app.app_id}")
+            apps[app.app_id] = app
 
     workload = raw.get("workload")
     rates: dict[str, float] = {}

@@ -28,7 +28,7 @@ from .config import Scenario
 from .dispatch import DispatchContext, choose_worker
 from .state import StateMode, remote_state_access, stage_transfer_bytes
 from .topology import NodeSpec
-from .workflow import FunctionSpec, _kahn, stage_io, vertex_input_bytes
+from .workflow import FunctionSpec, stage_io, vertex_input_bytes
 
 # Event kinds; each event's data is what its handler reads.
 ARRIVAL = 0  # InvocationRecord
@@ -129,7 +129,7 @@ def _entries(scenario: Scenario) -> dict[str, tuple[_StagePlan, int]]:
     for app_id, app in scenario.apps.items():
         fns, dag = app.functions, app.dag
         plans: dict[str, _StagePlan] = {}
-        for fid in reversed(_kahn(dag)):
+        for fid in reversed(dag.order):
             f = fns[fid]
             preds = dag.preds[fid]
             plans[fid] = _StagePlan(
@@ -261,7 +261,7 @@ class _Run:
             payloads = wl.draw_payloads(
                 self.sc.payload,
                 len(times),
-                app.dag.entry_payload,
+                app.entry_payload,
                 wl.substream(self.seed, wl.STREAM_PAYLOAD, app_idx),
             )
             factors = wl.draw_compute_factors(

@@ -1,9 +1,10 @@
 """Functions, chains, and DAG compositions, plus the analytic latency oracle.
 
 A chain is the linear special case of a DAG: vertices are function ids,
-edges carry the producer's output to the consumer. Validation is structural
-(acyclic, single source and sink, every vertex on a source-to-sink path);
-``critical_path_time`` computes the zero-load end-to-end latency by
+edges carry the producer's output to the consumer. An ``AppWorkflow`` is the
+one record of an application: its DAG, functions, client and entry payload.
+Validation is structural (known edge ends, one source, one sink, acyclic);
+``critical_path_time`` computes an app's zero-load end-to-end latency by
 longest-path dynamic programming and serves as the simulator's oracle.
 """
 
@@ -37,34 +38,43 @@ class FunctionSpec:
 
 @dataclass(frozen=True)
 class DagSpec:
-    """A composition of functions; its neighbour maps and ends are derived once, when built.
+    """A composition of functions: pure structure, its derived facts computed once, when built.
 
     ``preds`` and ``succs`` hold each vertex's sorted producers and consumers;
     edges with an unknown end are ignored. ``source`` and ``sink`` are the
     vertex without producers and the one without consumers, or None unless
-    exactly one exists.
+    exactly one exists. ``order`` is Kahn's order, the lowest id first among
+    the ready vertices; it leaves out every vertex on or after a cycle, so it
+    is shorter than ``vertices`` exactly when the graph has a cycle.
     """
 
-    app_id: str
     vertices: frozenset[str]
     edges: frozenset[tuple[str, str]]  # (producer, consumer)
-    entry_payload: float  # bytes, > 0
     preds: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
     succs: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
     source: str | None = field(init=False, compare=False, repr=False)
     sink: str | None = field(init=False, compare=False, repr=False)
+    order: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         preds = _neighbours(self.vertices, ((q, p) for p, q in self.edges))
         succs = _neighbours(self.vertices, self.edges)
         ends = [[v for v, vs in nbrs.items() if not vs] for nbrs in (preds, succs)]
         source, sink = (vs[0] if len(vs) == 1 else None for vs in ends)
-        for name, value in (("preds", preds), ("succs", succs), ("source", source), ("sink", sink)):
+        derived = {"preds": preds, "succs": succs, "source": source, "sink": sink, "order": _kahn(preds, succs)}
+        for name, value in derived.items():
             object.__setattr__(self, name, value)
 
 
-# Assignment: function id -> worker node id. Plain mapping, no wrapper type.
-Assignment = Mapping[str, int]
+@dataclass(frozen=True)
+class AppWorkflow:
+    """One application: its DAG, its functions by id, its client node and its entry payload in bytes (> 0)."""
+
+    app_id: str
+    dag: DagSpec
+    functions: dict[str, FunctionSpec]
+    client: int
+    entry_payload: float
 
 
 def validate_function(f: FunctionSpec) -> list[str]:
@@ -91,10 +101,9 @@ def _neighbours(vertices: frozenset[str], pairs: Iterable[tuple[str, str]]) -> d
     return {v: tuple(bs) for v, bs in nbrs.items()}
 
 
-def _kahn(d: DagSpec) -> list[str]:
+def _kahn(preds: Mapping[str, tuple[str, ...]], succs: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
     """Kahn's algorithm with lowest-id-first tie-breaking; omits every vertex on or after a cycle."""
-    succs = d.succs
-    remaining = {v: len(ps) for v, ps in d.preds.items()}
+    remaining = {v: len(ps) for v, ps in preds.items()}
     ready = [v for v, k in remaining.items() if k == 0]
     heapq.heapify(ready)
     order = []
@@ -105,11 +114,18 @@ def _kahn(d: DagSpec) -> list[str]:
             remaining[q] -= 1
             if remaining[q] == 0:
                 heapq.heappush(ready, q)
-    return order
+    return tuple(order)
 
 
 def validate_dag(d: DagSpec) -> list[str]:
-    """Structural validation; empty result iff the DAG is well formed."""
+    """Structural validation; empty result iff the DAG is well formed.
+
+    Every edge end must be a vertex, and there must be one source, one sink
+    and no cycle. That puts every vertex on a source-to-sink path, so there
+    is nothing more to check: in an acyclic graph, walking producers back
+    from any vertex ends at a vertex without producers, which can only be
+    the source, and walking consumers forward ends at the sink.
+    """
     violations = []
     if not d.vertices:
         return ["dag has no vertices"]
@@ -123,32 +139,9 @@ def validate_dag(d: DagSpec) -> list[str]:
             several = any(not vs for vs in nbrs.values())
             violations.append(f"multiple {name}s" if several else f"no {name}")
 
-    acyclic = len(_kahn(d)) == len(d.vertices)
-    if not acyclic:
+    if len(d.order) < len(d.vertices):
         violations.append("cycle detected")
-
-    if acyclic and d.source is not None and d.sink is not None:
-        fwd = _reachable(d.source, d.succs)
-        back = _reachable(d.sink, d.preds)
-        for v in sorted(d.vertices):
-            if v not in fwd or v not in back:
-                violations.append(f"vertex {v} not on any source->sink path")
-
-    if d.entry_payload <= 0:
-        violations.append("entry_payload must be > 0")
     return violations
-
-
-def _reachable(start: str, nbrs: Mapping[str, tuple[str, ...]]) -> set[str]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for q in nbrs[v]:
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return seen
 
 
 def stage_io(f: FunctionSpec, input_bytes: float, compute_factor: float = 1.0) -> tuple[float, float]:
@@ -180,54 +173,54 @@ def vertex_input_bytes(
 
 
 def critical_path_time(
-    d: DagSpec,
-    a: Assignment,
+    app: AppWorkflow,
+    assignment: Mapping[str, int],
     rt: RouteTable,
     hosts: Mapping[tuple[str, str], int] | None,
     mode: StateMode,
     *,
-    functions: Mapping[str, FunctionSpec],
     workers: Mapping[int, NodeSpec],
-    client: int,
     entry_payload: float | None = None,
 ) -> float:
-    """Zero-load completion time of the sink, including result delivery.
+    """Zero-load completion time of ``app``'s sink, including result delivery.
 
-    A vertex is dispatched when its last predecessor finishes; every input
-    then moves to its worker in parallel, so a join's inputs have arrived at
-    ``max(done_p) + max(xfer_p)``. State costs are paid at dispatch and the
-    vertex computes without queueing. ``hosts`` maps ``(app_id, function
-    id)`` to the worker holding that state; state missing from it, or from
-    a ``None`` map, is unplaced and costs nothing. Longest-path dynamic
-    programming in topological order; ties in the max leave the result
-    unchanged.
+    ``assignment`` maps each function id to its worker; ``entry_payload``
+    replaces the app's own. A vertex is dispatched when its last predecessor
+    finishes; every input then moves to its worker in parallel, so a join's
+    inputs have arrived at ``max(done_p) + max(xfer_p)``. State costs are
+    paid at dispatch and the vertex computes without queueing. ``hosts``
+    maps ``(app_id, function id)`` to the worker holding that state; state
+    missing from it, or from a ``None`` map, is unplaced and costs nothing.
+    Longest-path dynamic programming in ``app.dag.order``; ties in the max
+    leave the result unchanged.
     """
+    d, functions, client = app.dag, app.functions, app.client
     violations = validate_dag(d)
     if violations:
         raise ValueError("invalid dag: " + "; ".join(violations))
     for v in sorted(d.vertices):
-        if v not in a:
+        if v not in assignment:
             raise ValueError(f"assignment missing vertex {v}")
-        if a[v] not in workers or not workers[a[v]].is_worker:
-            raise ValueError(f"assignment maps {v} to non-worker node {a[v]}")
+        if assignment[v] not in workers or not workers[assignment[v]].is_worker:
+            raise ValueError(f"assignment maps {v} to non-worker node {assignment[v]}")
 
-    entry = d.entry_payload if entry_payload is None else entry_payload
+    entry = app.entry_payload if entry_payload is None else entry_payload
     hosts = {} if hosts is None else hosts
     done: dict[str, float] = {}
     outputs: dict[str, float] = {}
     preds = d.preds
-    for v in _kahn(d):
+    for v in d.order:
         f = functions[v]
-        w = a[v]
+        w = assignment[v]
         input_bytes = vertex_input_bytes(preds[v], outputs, entry)
         if not preds[v]:
             arrived = transfer_delay(rt, client, w, state_mod.stage_transfer_bytes(entry, None, f, mode))
         else:
             arrived = max(done[p] for p in preds[v]) + max(
-                transfer_delay(rt, a[p], w, state_mod.stage_transfer_bytes(outputs[p], functions[p], f, mode))
+                transfer_delay(rt, assignment[p], w, state_mod.stage_transfer_bytes(outputs[p], functions[p], f, mode))
                 for p in preds[v]
             )
-        access = state_mod.remote_state_access(mode, hosts.get((d.app_id, v)), f, w, rt)
+        access = state_mod.remote_state_access(mode, hosts.get((app.app_id, v)), f, w, rt)
         t = arrived + access.delay
         compute_ops, out_bytes = stage_io(f, input_bytes)
         t += compute_ops / workers[w].core_speed
@@ -237,5 +230,5 @@ def critical_path_time(
     sink = d.sink
     f_sink = functions[sink]
     return done[sink] + transfer_delay(
-        rt, a[sink], client, state_mod.stage_transfer_bytes(outputs[sink], f_sink, None, mode)
+        rt, assignment[sink], client, state_mod.stage_transfer_bytes(outputs[sink], f_sink, None, mode)
     )

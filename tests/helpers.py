@@ -115,8 +115,8 @@ def route_propagation(route) -> float:
 # -- DAGs ---------------------------------------------------------------------
 
 
-def random_dag(rng: random.Random, max_vertices: int = 10, app_id: str = "app") -> DagSpec:
-    """Random single-source single-sink DAG; every vertex lies on a path."""
+def random_dag(rng: random.Random, max_vertices: int = 10) -> tuple[DagSpec, float]:
+    """Random single-source single-sink DAG, every vertex on a path, and an entry payload for it."""
     n = rng.randint(1, max_vertices)
     names = [f"f{i:02d}" for i in range(n)]
     edges: set[tuple[str, str]] = set()
@@ -130,13 +130,11 @@ def random_dag(rng: random.Random, max_vertices: int = 10, app_id: str = "app") 
     for i in range(n - 1):
         if not any(p == names[i] for p, _q in edges):
             edges.add((names[i], names[rng.randrange(i + 1, n)]))
-    return DagSpec(app_id, frozenset(names), frozenset(edges), entry_payload=rng.uniform(100, 10000))
+    return DagSpec(frozenset(names), frozenset(edges)), rng.uniform(100, 10000)
 
 
-def enumerate_critical_path(
-    dag, assignment, routes, hosts, mode, *, functions, workers, client, entry_payload=None
-):
-    """Exhaustive source-to-sink path enumeration of the zero-load latency.
+def enumerate_critical_path(app, assignment, routes, hosts, mode, *, workers, entry_payload=None):
+    """Exhaustive source-to-sink path enumeration of ``app``'s zero-load latency.
 
     Walks every path, accumulating transfer, state, and compute costs in the
     library's stated order; the result is the max over paths. Per-vertex
@@ -152,7 +150,8 @@ def enumerate_critical_path(
     def wire(data, producer, consumer):
         return stage_transfer_bytes(data, producer, consumer, mode)
 
-    entry = dag.entry_payload if entry_payload is None else entry_payload
+    dag, functions, client = app.dag, app.functions, app.client
+    entry = app.entry_payload if entry_payload is None else entry_payload
     preds, succs = dag.preds, dag.succs
     hosts = hosts or {}
 
@@ -164,7 +163,7 @@ def enumerate_critical_path(
         input_bytes = vertex_input_bytes(preds[v], outputs, entry)
         compute_ops, out_bytes = stage_io(f, input_bytes)
         outputs[v] = out_bytes
-        access = remote_state_access(mode, hosts.get((dag.app_id, v)), f, assignment[v], routes)
+        access = remote_state_access(mode, hosts.get((app.app_id, v)), f, assignment[v], routes)
         vertex_cost[v] = (access.delay, compute_ops / workers[assignment[v]].core_speed)
         if preds[v]:
             inbound[v] = max(
@@ -498,9 +497,9 @@ def random_dag_scenario_raw(rng: random.Random, *, seed: int, policy: str, state
     Every worker has one core per vertex, so a single invocation never queues.
     """
     topo = random_topology(rng, max_nodes=8, min_workers=1)
-    dag = random_dag(rng, max_vertices=8)
+    dag, entry = random_dag(rng, max_vertices=8)
     workflow = {
-        "entry_payload": dag.entry_payload,
+        "entry_payload": entry,
         "functions": [_random_function(rng, v) for v in sorted(dag.vertices)],
         "dag": {"vertices": sorted(dag.vertices), "edges": [list(e) for e in sorted(dag.edges)]},
     }

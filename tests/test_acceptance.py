@@ -25,7 +25,7 @@ from chainsim.dispatch import (
 )
 from chainsim.state import StateMode
 from chainsim.topology import LinkSpec, NodeSpec, Topology, build_routes
-from chainsim.workflow import FunctionSpec, critical_path_time
+from chainsim.workflow import AppWorkflow, FunctionSpec, critical_path_time
 
 from helpers import (
     brute_force_routes,
@@ -71,14 +71,12 @@ def test_criterion_01_zero_load_oracle():
         app = sc.apps["app"]
         assignment = {fid: rec.worker for fid, rec in inv.stages.items()}
         analytic = critical_path_time(
-            app.dag,
+            app,
             assignment,
             sc.routes,
             None,
             sc.state_mode,
-            functions=app.functions,
             workers={n.id: n for n in sc.topology.workers()},
-            client=app.client,
             entry_payload=inv.payload,
         )
         assert abs(inv.latency - analytic) <= 1e-9, (policy, mode, raw)
@@ -107,7 +105,7 @@ def test_criterion_02_dag_critical_path_vs_brute_force():
     rt = build_routes(topo)
     workers = {n.id: n for n in topo.workers()}
     for k in range(100):
-        d = random_dag(rng, max_vertices=10)
+        d, entry = random_dag(rng, max_vertices=10)
         fns = {
             v: FunctionSpec(
                 v,
@@ -124,10 +122,9 @@ def test_criterion_02_dag_critical_path_vs_brute_force():
         for v in sorted(d.vertices):
             if fns[v].state_size > 0 and rng.random() < 0.6:
                 hosts["app", v] = rng.choice([1, 2, 3])
-        got = critical_path_time(d, a, rt, hosts, mode, functions=fns, workers=workers, client=0)
-        expected = enumerate_critical_path(
-            d, a, rt, hosts, mode, functions=fns, workers=workers, client=0
-        )
+        app = AppWorkflow("app", d, fns, 0, entry)
+        got = critical_path_time(app, a, rt, hosts, mode, workers=workers)
+        expected = enumerate_critical_path(app, a, rt, hosts, mode, workers=workers)
         assert got == expected, f"dag #{k}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"critical-path check took {elapsed:.2f}s"

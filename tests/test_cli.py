@@ -139,6 +139,8 @@ BAD_VALUES = {
     "fixed_ops string": (lambda raw: raw["workflows"][0]["functions"][0], "fixed_ops", "1000"),
     "state_size Infinity": (lambda raw: raw["workflows"][0]["functions"][0], "state_size", math.inf),
     "entry_payload NaN": (lambda raw: raw["workflows"][0], "entry_payload", math.nan),
+    "entry_payload 0": (lambda raw: raw["workflows"][0], "entry_payload", 0),
+    "entry_payload -1.5": (lambda raw: raw["workflows"][0], "entry_payload", -1.5),
     "horizon Infinity": (lambda raw: raw["workload"], "horizon", math.inf),
     "arrival rate Infinity": (lambda raw: raw["workload"]["rates"], "app", math.inf),
     "functions number": (lambda raw: raw["workflows"][0], "functions", 5),
@@ -251,6 +253,21 @@ CONFIG_MESSAGES = {
         chain_scenario_raw,
         lambda raw: first_function(raw).update(state_size=-1.0),
         ["workflow app: function f0 state_size must be >= 0"],
+    ),
+    "entry_payload NaN": (
+        chain_scenario_raw,
+        lambda raw: workflow(raw).update(entry_payload=math.nan),
+        ["workflow app: entry_payload must be a number > 0"],
+    ),
+    "entry_payload 0": (
+        chain_scenario_raw,
+        lambda raw: workflow(raw).update(entry_payload=0),
+        ["workflow app: entry_payload must be a number > 0"],
+    ),
+    "entry_payload -1.5": (
+        chain_scenario_raw,
+        lambda raw: workflow(raw).update(entry_payload=-1.5),
+        ["workflow app: entry_payload must be a number > 0"],
     ),
     "negative node id": (
         chain_scenario_raw,

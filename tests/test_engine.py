@@ -48,14 +48,12 @@ def oracle_latency(sc, log, inv):
     app = sc.apps[inv.app]
     assignment = {fid: rec.worker for fid, rec in inv.stages.items()}
     return critical_path_time(
-        app.dag,
+        app,
         assignment,
         sc.routes,
         None,
         sc.state_mode,
-        functions=app.functions,
         workers={n.id: n for n in sc.topology.workers()},
-        client=app.client,
         entry_payload=inv.payload,
     )
 

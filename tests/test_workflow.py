@@ -10,6 +10,7 @@ from chainsim.config import scenario_from_raw
 from chainsim.state import StateMode
 from chainsim.topology import build_routes, transfer_delay
 from chainsim.workflow import (
+    AppWorkflow,
     DagSpec,
     FunctionSpec,
     critical_path_time,
@@ -21,12 +22,10 @@ from chainsim.workflow import (
 from helpers import chain_scenario_raw, enumerate_critical_path, make_topology, random_dag
 
 
-def diamond(entry=1000.0):
+def diamond():
     return DagSpec(
-        "app",
         frozenset({"f1", "f2", "f3", "f4"}),
         frozenset({("f1", "f2"), ("f1", "f3"), ("f2", "f4"), ("f3", "f4")}),
-        entry,
     )
 
 
@@ -42,8 +41,13 @@ def parsed_chain(ids, entry):
     return scenario.apps["app"].dag
 
 
-def linear_dag(ids, entry):
-    return DagSpec("app", frozenset(ids), frozenset(zip(ids, ids[1:])), entry)
+def linear_dag(ids):
+    return DagSpec(frozenset(ids), frozenset(zip(ids, ids[1:])))
+
+
+def app_of(dag, functions, entry=1000.0):
+    """App ``app`` of ``dag`` and ``functions``, served from client 0."""
+    return AppWorkflow("app", dag, functions, 0, entry)
 
 
 class TestChainToDag:
@@ -60,25 +64,77 @@ class TestChainToDag:
         assert validate_dag(parsed_chain(tuple(f"f{i}" for i in range(n)), payload)) == []
 
 
+NAMES = [f"f{i}" for i in range(7)]
+
+
+def random_graph(rng):
+    """Vertices drawn from ``NAMES`` and edges that mostly run forward in a random order of them.
+
+    Most vertices get a producer and a consumer, so many graphs are valid;
+    up to two stray edges over all of ``NAMES`` add self-loops, cycles and
+    ends outside the vertex set.
+    """
+    order = rng.sample(NAMES, rng.randint(0, len(NAMES)))
+    edges = {(p, q) for i, p in enumerate(order) for q in order[i + 1:] if rng.random() < 0.3}
+    for i, v in enumerate(order):
+        if i and rng.random() < 0.9 and not any(q == v for _p, q in edges):
+            edges.add((rng.choice(order[:i]), v))
+        if i + 1 < len(order) and rng.random() < 0.9 and not any(p == v for p, _q in edges):
+            edges.add((v, rng.choice(order[i + 1:])))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        edges.add((rng.choice(NAMES), rng.choice(NAMES)))
+    return frozenset(order), frozenset(edges)
+
+
+def reach(start, pairs):
+    """Every vertex a breadth-first walk along ``pairs`` (a, b), a to b, reaches from ``start``."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        frontier = [b for v in frontier for a, b in sorted(pairs) if a == v and b not in seen]
+        seen.update(frontier)
+    return seen
+
+
 class TestValidateDag:
     def test_diamond_valid(self):
         assert validate_dag(diamond()) == []
 
     def test_two_cycle(self):
-        d = DagSpec("app", frozenset({"f1", "f2"}), frozenset({("f1", "f2"), ("f2", "f1")}), 1.0)
+        d = DagSpec(frozenset({"f1", "f2"}), frozenset({("f1", "f2"), ("f2", "f1")}))
         assert "cycle detected" in validate_dag(d)
 
     def test_multiple_sinks(self):
-        d = DagSpec("app", frozenset({"f1", "f2", "f3"}), frozenset({("f1", "f2"), ("f1", "f3")}), 1.0)
+        d = DagSpec(frozenset({"f1", "f2", "f3"}), frozenset({("f1", "f2"), ("f1", "f3")}))
         assert "multiple sinks" in validate_dag(d)
 
     def test_multiple_sources(self):
-        d = DagSpec("app", frozenset({"f1", "f2", "f3"}), frozenset({("f1", "f3"), ("f2", "f3")}), 1.0)
+        d = DagSpec(frozenset({"f1", "f2", "f3"}), frozenset({("f1", "f3"), ("f2", "f3")}))
         assert "multiple sources" in validate_dag(d)
 
     def test_unknown_edge_endpoint(self):
-        d = DagSpec("app", frozenset({"f1", "f2"}), frozenset({("f1", "f2"), ("f1", "f9")}), 1.0)
+        d = DagSpec(frozenset({"f1", "f2"}), frozenset({("f1", "f2"), ("f1", "f9")}))
         assert "edge (f1,f9) references unknown vertex f9" in validate_dag(d)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_graphs(self, rng):
+        """``order`` and ``validate_dag`` against oracles that read only the vertex and edge sets."""
+        vertices, edges = random_graph(rng)
+        d = DagSpec(vertices, edges)
+        violations = validate_dag(d)
+        placed: set[str] = set()
+
+        def ready():
+            producers = {v: {p for p, q in edges if q == v and p in vertices} for v in vertices - placed}
+            return sorted(v for v, ps in producers.items() if ps <= placed)
+
+        for v in d.order:  # each vertex after its producers, the lowest ready id first
+            assert ready()[:1] == [v]
+            placed.add(v)
+        assert ready() == [] and len(placed) == len(d.order)
+        assert (len(d.order) < len(vertices)) == ("cycle detected" in violations)
+        if not violations:  # then every vertex is on a source-to-sink path
+            assert reach(d.source, edges) == reach(d.sink, {(q, p) for p, q in edges}) == vertices
 
     def test_app_build_derives_neighbours_once(self, monkeypatch):
         calls = []
@@ -93,10 +149,6 @@ class TestValidateDag:
         assert errs == [] and len(calls) == 2  # once for preds and once for succs
         engine.run(sc)
         assert len(calls) == 2
-
-    def test_bad_entry_payload(self):
-        d = DagSpec("app", frozenset({"f1"}), frozenset(), 0.0)
-        assert "entry_payload must be > 0" in validate_dag(d)
 
 
 class TestStageIo:
@@ -136,11 +188,8 @@ class TestCriticalPathTime:
     def test_single_function_closed_form(self):
         t, rt, workers = two_worker_network()
         f = FunctionSpec("f1", fixed_ops=1000.0, ops_per_byte=0.0, output_ratio=0.5)
-        d = linear_dag(("f1",), 1000.0)
-        got = critical_path_time(
-            d, {"f1": 1}, rt, None, StateMode.REMOTE_FIXED,
-            functions={"f1": f}, workers=workers, client=0,
-        )
+        app = app_of(linear_dag(("f1",)), {"f1": f}, 1000.0)
+        got = critical_path_time(app, {"f1": 1}, rt, None, StateMode.REMOTE_FIXED, workers=workers)
         expected = (
             transfer_delay(rt, 0, 1, 1000.0) + 1000.0 / 1e6 + transfer_delay(rt, 1, 0, 500.0)
         )
@@ -155,15 +204,10 @@ class TestCriticalPathTime:
             "f4": FunctionSpec("f4", fixed_ops=1000.0, output_ratio=1.0),
         }
         a = {"f1": 1, "f2": 1, "f3": 2, "f4": 1}
-        got = critical_path_time(
-            diamond(), a, rt, None, StateMode.REMOTE_FIXED,
-            functions=fns, workers=workers, client=0,
-        )
+        app = app_of(diamond(), fns)
+        got = critical_path_time(app, a, rt, None, StateMode.REMOTE_FIXED, workers=workers)
         # enumerate both source->sink paths independently and take the max
-        expected = enumerate_critical_path(
-            diamond(), a, rt, None, StateMode.REMOTE_FIXED,
-            functions=fns, workers=workers, client=0,
-        )
+        expected = enumerate_critical_path(app, a, rt, None, StateMode.REMOTE_FIXED, workers=workers)
         assert got == expected
         # the f2 branch has 49 ms more compute, so it must dominate
         slow = 50000.0 / 1e6
@@ -176,10 +220,8 @@ class TestCriticalPathTime:
             for k in range(4)
         }
         a = {"f0": 1, "f1": 2, "f2": 1, "f3": 2}
-        d = linear_dag(tuple(fns), 2000.0)
-        got = critical_path_time(
-            d, a, rt, None, StateMode.REMOTE_FIXED, functions=fns, workers=workers, client=0
-        )
+        app = app_of(linear_dag(tuple(fns)), fns, 2000.0)
+        got = critical_path_time(app, a, rt, None, StateMode.REMOTE_FIXED, workers=workers)
         # independent linear accumulation, stage by stage
         mode = StateMode.REMOTE_FIXED
         tacc = transfer_delay(rt, 0, a["f0"], 2000.0)
@@ -199,18 +241,16 @@ class TestCriticalPathTime:
     def test_missing_assignment_rejected(self):
         t, rt, workers = two_worker_network()
         f = FunctionSpec("f1", fixed_ops=1000.0, output_ratio=1.0)
-        d = linear_dag(("f1",), 1000.0)
+        app = app_of(linear_dag(("f1",)), {"f1": f}, 1000.0)
         with pytest.raises(ValueError, match="assignment"):
-            critical_path_time(
-                d, {}, rt, None, StateMode.EMBEDDED, functions={"f1": f}, workers=workers, client=0
-            )
+            critical_path_time(app, {}, rt, None, StateMode.EMBEDDED, workers=workers)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(list(StateMode)))
     def test_equals_path_enumeration(self, seed, mode):
         rng = random.Random(seed)
         t, rt, workers = two_worker_network()
-        d = random_dag(rng, max_vertices=10)
+        d, entry = random_dag(rng, max_vertices=10)
         fns = {
             v: FunctionSpec(
                 v,
@@ -226,33 +266,30 @@ class TestCriticalPathTime:
         for v in sorted(d.vertices):
             if fns[v].state_size > 0 and rng.random() < 0.7:
                 hosts["app", v] = rng.choice([1, 2])
-        got = critical_path_time(
-            d, a, rt, hosts, mode, functions=fns, workers=workers, client=0
-        )
-        expected = enumerate_critical_path(
-            d, a, rt, hosts, mode, functions=fns, workers=workers, client=0
-        )
+        app = app_of(d, fns, entry)
+        got = critical_path_time(app, a, rt, hosts, mode, workers=workers)
+        expected = enumerate_critical_path(app, a, rt, hosts, mode, workers=workers)
         assert got == expected
 
     def test_monotone_in_compute_and_payload(self):
         t, rt, workers = two_worker_network()
         rng = random.Random(99)
         for _ in range(20):
-            d = random_dag(rng, max_vertices=8)
+            d, entry = random_dag(rng, max_vertices=8)
             fns = {
                 v: FunctionSpec(v, fixed_ops=1e3, ops_per_byte=1.0, output_ratio=0.5)
                 for v in d.vertices
             }
             a = {v: rng.choice([1, 2]) for v in d.vertices}
-            kw = dict(functions=fns, workers=workers, client=0)
-            base = critical_path_time(d, a, rt, None, StateMode.EMBEDDED, **kw)
+            app = app_of(d, fns, entry)
+            base = critical_path_time(app, a, rt, None, StateMode.EMBEDDED, workers=workers)
             bumped_v = rng.choice(sorted(d.vertices))
             fns2 = dict(fns)
             fns2[bumped_v] = FunctionSpec(bumped_v, fixed_ops=5e5, ops_per_byte=1.0, output_ratio=0.5)
-            more_compute = critical_path_time(d, a, rt, None, StateMode.EMBEDDED, functions=fns2, workers=workers, client=0)
+            more_compute = critical_path_time(app_of(d, fns2, entry), a, rt, None, StateMode.EMBEDDED, workers=workers)
             assert more_compute >= base
             bigger_entry = critical_path_time(
-                d, a, rt, None, StateMode.EMBEDDED, entry_payload=d.entry_payload * 3, **kw
+                app, a, rt, None, StateMode.EMBEDDED, workers=workers, entry_payload=app.entry_payload * 3
             )
             assert bigger_entry >= base
 
